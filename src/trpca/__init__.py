@@ -26,7 +26,6 @@ from .t_algebra import (
     idft3,
     is_orthogonal,
     multi_rank,
-    skinny_tsvd,
     spectral_norm,
     tnn,
     tprod,

@@ -11,6 +11,7 @@ outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -46,14 +47,7 @@ def _build_config(args) -> SolverConfig:
     if getattr(args, "lam", None) is not None:
         if args.lam <= 0:
             raise InputError("--lambda must be positive")
-        config = SolverConfig(
-            lam=args.lam,
-            rho=config.rho,
-            mu0=config.mu0,
-            mu_max=config.mu_max,
-            eps=config.eps,
-            max_iter=config.max_iter,
-        )
+        config = dataclasses.replace(config, lam=args.lam)
     return config
 
 

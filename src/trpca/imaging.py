@@ -10,7 +10,7 @@ the working range with peak 1.0 (equivalent to peak 255 on byte data).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -245,14 +245,7 @@ def rpca_channelwise_baseline(
     lam = default_lambda((n1, n2, 1))
     if config is None:
         config = SolverConfig()
-    slice_config = SolverConfig(
-        lam=lam,
-        rho=config.rho,
-        mu0=config.mu0,
-        mu_max=config.mu_max,
-        eps=config.eps,
-        max_iter=config.max_iter,
-    )
+    slice_config = replace(config, lam=lam)
     L = np.empty_like(corrupted)
     iterations = 0
     for k in range(n3):

@@ -1,7 +1,10 @@
 """Closed-form proximal operators for the two solver subproblems.
 
 ``tsvt`` is the prox of the tensor nuclear norm (per-spectral-slice singular
-value shrinkage); ``soft_threshold`` is the prox of the elementwise l1 norm.
+value shrinkage, one batched SVD over the half spectrum through the
+``t_algebra`` helpers); ``soft_threshold`` is the prox of the elementwise l1
+norm.
+
 Under the unnormalized-forward / 1/n3-inverse DFT convention, the per-slice
 shrinkage threshold equals tau itself: the 1/n3 in the nuclear norm
 definition and the 1/n3 from Parseval on the Frobenius term cancel.
@@ -11,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .t_algebra import _half, dft3, idft3
-from .tensor_core import as_tensor, norm_fro
+from .t_algebra import _from_half_spectrum, _half_spectrum, _svd
+from .tensor_core import as_tensor
 
 __all__ = ["tsvt", "soft_threshold"]
 
@@ -20,23 +23,18 @@ __all__ = ["tsvt", "soft_threshold"]
 def tsvt(Y: np.ndarray, tau: float) -> np.ndarray:
     """Minimizer of tau*||L||_tnn + (1/2)*||L - Y||_F^2.
 
-    Each spectral slice gets a matrix SVT with threshold tau; conjugate
-    symmetry lets us process only the first half of the slices.
+    Each spectral slice gets a matrix SVT with threshold tau.  The slices
+    are rebuilt together up to the largest rank kept in any of them; the
+    shrunk singular values past a slice's own rank are zero, so this equals
+    truncating each slice separately.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     Y = as_tensor(Y)
-    n3 = Y.shape[2]
-    Ybar = dft3(Y)
-    Lbar = np.empty_like(Ybar)
-    for k in range(_half(n3)):
-        U, s, Vh = np.linalg.svd(Ybar[:, :, k], full_matrices=False)
-        s = np.maximum(s - tau, 0.0)
-        nz = int(np.count_nonzero(s))
-        Lbar[:, :, k] = (U[:, :nz] * s[:nz]) @ Vh[:nz, :]
-    for k in range(_half(n3), n3):
-        Lbar[:, :, k] = Lbar[:, :, n3 - k].conj()
-    return idft3(Lbar, scale=max(norm_fro(Y), 1.0))
+    U, s, Vh = _svd(_half_spectrum(Y))
+    s = np.maximum(s - tau, 0.0)
+    r = int(np.count_nonzero(s, axis=1).max())
+    return _from_half_spectrum((U[:, :, :r] * s[:, None, :r]) @ Vh[:, :r, :], Y.shape[2])
 
 
 def soft_threshold(Y: np.ndarray, tau: float) -> np.ndarray:

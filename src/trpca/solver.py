@@ -14,7 +14,7 @@ import numpy as np
 
 from . import t_algebra
 from .prox import soft_threshold, tsvt
-from .tensor_core import TensorDims, as_tensor, basis_column, norm_fro, norm_inf
+from .tensor_core import TensorDims, as_tensor, norm_inf
 
 __all__ = [
     "SolverConfig",
@@ -153,19 +153,15 @@ def incoherence_report(L: np.ndarray, tol: float = t_algebra.DEFAULT_RANK_TOL) -
         raise ValueError("incoherence is undefined for the zero tensor")
     n1, n2, n3 = L.shape
     r = t_algebra.tubal_rank(L, tol)
-    f = t_algebra.skinny_tsvd(L, r)
-    Ut = t_algebra.ttranspose(f.U)
-    Vt = t_algebra.ttranspose(f.V)
-    max_u = max(
-        norm_fro(t_algebra.tprod(Ut, basis_column(i, n1, n3))) for i in range(n1)
-    )
-    max_v = max(
-        norm_fro(t_algebra.tprod(Vt, basis_column(j, n2, n3))) for j in range(n2)
-    )
-    uv_inf = norm_inf(t_algebra.tprod(f.U, Vt))
+    f = t_algebra.tsvd(L, rank=r)
+    # ||U^T * e_i||_F = ||U[i, :, :]||_F: the t-product with a column basis
+    # tensor picks out horizontal slice i (Parseval along each tube)
+    max_u_sq = float((f.U**2).sum(axis=(1, 2)).max())
+    max_v_sq = float((f.V**2).sum(axis=(1, 2)).max())
+    uv_inf = norm_inf(t_algebra.tprod(f.U, t_algebra.ttranspose(f.V)))
     return IncoherenceReport(
-        mu_u=n1 * n3 / r * max_u**2,
-        mu_v=n2 * n3 / r * max_v**2,
+        mu_u=n1 * n3 / r * max_u_sq,
+        mu_v=n2 * n3 / r * max_v_sq,
         mu_joint=n1 * n2 * n3**2 / r * uv_inf**2,
         r=r,
     )

@@ -7,8 +7,14 @@ inverse (numpy's default), which makes the tensor nuclear norm equal
 ``norm_* (bcirc(A)) / n3`` exactly.
 
 For real inputs the spectrum is conjugate-symmetric across frontal slices
-(slice k pairs with slice n3-k, 0-based), so per-slice SVD work is done only
-for the first ``n3 // 2 + 1`` slices and mirrored to the rest.
+(slice k pairs with slice n3-k, 0-based), so only the first ``n3 // 2 + 1``
+slices carry information.  One set of private helpers holds that layer:
+``_half_spectrum`` stacks those slices as an ``(h, n1, n2)`` array,
+``_svd`` factors the whole stack in one batched call, and
+``_from_half_spectrum`` returns to a real tensor through ``irfft``, whose
+output is real by construction.  The t-product, the t-SVD, the singular
+value sweep behind the ranks and norms, and ``prox.tsvt`` all go through
+them.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ __all__ = [
     "identity_tensor",
     "is_orthogonal",
     "tsvd",
-    "skinny_tsvd",
     "multi_rank",
     "tubal_rank",
     "tnn",
@@ -41,11 +46,6 @@ __all__ = [
 ]
 
 DEFAULT_RANK_TOL = 1e-8
-
-# slices that must be computed before conjugate mirroring fills the rest
-def _half(n3: int) -> int:
-    return n3 // 2 + 1
-
 
 @dataclass(frozen=True)
 class TSvd:
@@ -93,6 +93,44 @@ def idft3(Abar: np.ndarray, scale: float | None = None) -> np.ndarray:
     return np.ascontiguousarray(A.real)
 
 
+def _half_spectrum(A: np.ndarray) -> np.ndarray:
+    """Spectral slices 0..n3//2 of A as an (h, n1, n2) stack; the rest are
+    their conjugates.
+
+    Slice 0 and, for even n3, slice n3/2 are their own conjugates, so they
+    are real; their rounding residue is dropped so that SVD factors of those
+    slices come out real too, null-space vectors included.
+    """
+    n3 = A.shape[2]
+    stack = np.moveaxis(dft3(A)[:, :, : n3 // 2 + 1], 2, 0)
+    stack.imag[[0, n3 // 2] if n3 % 2 == 0 else [0]] = 0.0
+    return stack
+
+
+def _from_half_spectrum(stack: np.ndarray, n3: int) -> np.ndarray:
+    """The real n1 x n2 x n3 tensor whose first spectral slices are ``stack``."""
+    return np.ascontiguousarray(np.fft.irfft(np.moveaxis(stack, 0, 2), n=n3, axis=2))
+
+
+def _svd(stack: np.ndarray, compute_uv: bool = True):
+    """Thin SVD of every matrix in the stack in one batched call.
+
+    LAPACK's divide-and-conquer SVD (gesdd) occasionally fails to converge on a
+    finite matrix that its conjugate transpose factors fine, so a failure is
+    retried once on the conjugate transposes with the factors swapped back.
+    """
+    try:
+        return np.linalg.svd(stack, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError:
+        out = np.linalg.svd(
+            stack.conj().swapaxes(-1, -2), full_matrices=False, compute_uv=compute_uv
+        )
+    if not compute_uv:
+        return out
+    U, s, Vh = out
+    return Vh.conj().swapaxes(-1, -2), s, U.conj().swapaxes(-1, -2)
+
+
 def bcirc(A: np.ndarray) -> np.ndarray:
     """Block-circulant matricization of size (n1*n3) x (n2*n3).
 
@@ -133,10 +171,7 @@ def _check_tprod_shapes(A: np.ndarray, B: np.ndarray) -> None:
 def tprod(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """t-product via slicewise matrix products in the Fourier domain."""
     _check_tprod_shapes(A, B)
-    Abar = dft3(A)
-    Bbar = dft3(B)
-    Cbar = np.einsum("ipk,pjk->ijk", Abar, Bbar)
-    return idft3(Cbar, scale=max(norm_fro(A) * norm_fro(B), 1.0))
+    return _from_half_spectrum(_half_spectrum(A) @ _half_spectrum(B), A.shape[2])
 
 
 def tprod_oracle(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -181,31 +216,6 @@ def is_orthogonal(Q: np.ndarray, tol: float = 1e-9) -> bool:
     )
 
 
-def _spectral_svds(Abar: np.ndarray):
-    """Per-slice SVDs of the first half of the spectrum.
-
-    Returns lists (Us, ss, Vhs) of length n3 where entries for mirrored
-    slices are the conjugates of their partners.
-    """
-    n3 = Abar.shape[2]
-    h = _half(n3)
-    Us: list = [None] * n3
-    ss: list = [None] * n3
-    Vhs: list = [None] * n3
-    for k in range(h):
-        try:
-            Us[k], ss[k], Vhs[k] = np.linalg.svd(Abar[:, :, k], full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                f"SVD failed to converge on spectral slice {k}"
-            ) from exc
-    for k in range(h, n3):
-        Us[k] = Us[n3 - k].conj()
-        ss[k] = ss[n3 - k]
-        Vhs[k] = Vhs[n3 - k].conj()
-    return Us, ss, Vhs
-
-
 def tsvd(A: np.ndarray, rank: int | None = None) -> TSvd:
     """t-SVD of A: orthogonal U, V and f-diagonal S with A = U * S * V^T.
 
@@ -220,40 +230,24 @@ def tsvd(A: np.ndarray, rank: int | None = None) -> TSvd:
         if not 1 <= rank <= rho:
             raise ValueError(f"rank {rank} out of range [1, {rho}]")
         rho = rank
-    Us, ss, Vhs = _spectral_svds(dft3(A))
-    Ubar = np.empty((n1, rho, n3), dtype=np.complex128)
-    Sbar = np.zeros((rho, rho, n3), dtype=np.complex128)
-    Vbar = np.empty((n2, rho, n3), dtype=np.complex128)
-    for k in range(n3):
-        Ubar[:, :, k] = Us[k][:, :rho]
-        Sbar[:, :, k] = np.diag(ss[k][:rho])
-        Vbar[:, :, k] = Vhs[k][:rho, :].conj().T
-    scale = max(norm_fro(A), 1.0)
+    U, s, Vh = _svd(_half_spectrum(A))
     return TSvd(
-        U=idft3(Ubar, scale=scale),
-        S=idft3(Sbar, scale=scale),
-        V=idft3(Vbar, scale=scale),
+        U=_from_half_spectrum(U[:, :, :rho], n3),
+        S=_from_half_spectrum(s[:, :rho, None] * np.eye(rho), n3),
+        V=_from_half_spectrum(Vh[:, :rho, :].conj().swapaxes(1, 2), n3),
         skinny=skinny,
     )
 
 
-def skinny_tsvd(A: np.ndarray, r: int) -> TSvd:
-    """t-SVD truncated to r singular tubes."""
-    return tsvd(A, rank=r)
-
-
 def _spectral_singular_values(A: np.ndarray) -> np.ndarray:
-    """Matrix of singular values, shape (n3, min(n1, n2)), mirrored halves."""
+    """Singular values of every spectral slice, shape (n3, min(n1, n2)).
+
+    Slice k shares its singular values with its conjugate partner n3-k, so
+    the half-spectrum sweep is indexed out to all n3 rows.
+    """
     A = as_tensor(A)
-    n3 = A.shape[2]
-    Abar = dft3(A)
-    h = _half(n3)
-    sv = np.empty((n3, min(A.shape[0], A.shape[1])))
-    for k in range(h):
-        sv[k] = np.linalg.svd(Abar[:, :, k], compute_uv=False)
-    for k in range(h, n3):
-        sv[k] = sv[n3 - k]
-    return sv
+    k = np.arange(A.shape[2])
+    return _svd(_half_spectrum(A), compute_uv=False)[np.minimum(k, -k % A.shape[2])]
 
 
 def multi_rank(A: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

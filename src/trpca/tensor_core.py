@@ -13,6 +13,7 @@ slice-major order (k slowest, then i, then j fastest).
 
 from __future__ import annotations
 
+import io
 import struct
 from typing import BinaryIO, NamedTuple
 
@@ -171,11 +172,17 @@ def read_tensor(f: BinaryIO) -> np.ndarray:
         raise ValueError("truncated tensor header")
     n1, n2, n3 = struct.unpack("<QQQ", header)
     dims = TensorDims(n1, n2, n3).validate()
-    payload = f.read(8 * dims.total + 1)
-    if len(payload) != 8 * dims.total:
-        raise ValueError(
-            f"payload size mismatch: expected {8 * dims.total} bytes, got {len(payload)}"
-        )
+    expected = 8 * dims.total
+    if f.seekable():
+        # a corrupted header must not turn into a huge read buffer
+        start = f.tell()
+        left = f.seek(0, io.SEEK_END) - start
+        f.seek(start)
+        if left != expected:
+            raise ValueError(f"payload size mismatch: expected {expected} bytes, got {left}")
+    payload = f.read(expected + 1)
+    if len(payload) != expected:
+        raise ValueError(f"payload size mismatch: expected {expected} bytes, got {len(payload)}")
     flat = np.frombuffer(payload, dtype="<f8")
     return as_tensor(np.moveaxis(flat.reshape(n3, n1, n2), 0, 2))
 

@@ -43,6 +43,16 @@ class TestTsvdCommand:
         assert main(["tsvd", str(path)]) == EXIT_INPUT
         assert "error" in capsys.readouterr().err
 
+    def test_oversized_header_exit_2(self, tmp_path, capsys):
+        # 8192^3 declared entries (4 TiB) in a 100-byte file
+        path = tmp_path / "huge.tns3"
+        header = b"TNS3" + np.array([8192, 8192, 8192], dtype="<u8").tobytes()
+        path.write_bytes(header + b"\0" * (100 - len(header)))
+        assert main(["tsvd", str(path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "size mismatch" in err
+        assert "Traceback" not in err
+
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["tsvd", str(tmp_path / "nope.tns3")]) == EXIT_INPUT
 

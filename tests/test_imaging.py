@@ -184,6 +184,17 @@ class TestDenoise:
 
 
 class TestChannelwiseBaseline:
+    def test_svd_nonconvergence_is_retried(self):
+        # this image and corruption make LAPACK's gesdd fail to converge on
+        # one 64x64 slice of a channelwise solve
+        from test_acceptance import make_test_image
+
+        stack = imaging.tensor_to_stack(make_test_image(50800), color=True)
+        report, _, _, _ = imaging.denoise(stack, 0.1, seed=508008, baseline=True)
+        assert np.isfinite(report.psnr_trpca)
+        assert report.psnr_trpca > report.psnr_baseline
+
+
     def test_single_slice_matches_tensor_path(self, rng):
         # n3 = 1: the baseline and the tensor solver are the same problem
         frames = rng.integers(0, 256, size=(20, 20, 1), dtype=np.uint8)

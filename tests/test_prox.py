@@ -66,6 +66,23 @@ class TestTsvt:
                 D *= radius / tc.norm_fro(D)
                 assert tnn_objective(L + D, Y, tau) > base
 
+    def test_failed_svd_retried_on_conjugate_transpose(self, rng, monkeypatch):
+        Y = random_tensor(rng, 6, 4, 5)
+        expected = tsvt(Y, 0.8)
+        svd = np.linalg.svd
+        calls = []
+
+        def svd_failing_once(*args, **kwargs):
+            calls.append(args[0].shape)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd_failing_once)
+        out = tsvt(Y, 0.8)
+        assert calls == [(3, 6, 4), (3, 4, 6)]
+        assert np.allclose(out, expected, rtol=0, atol=1e-12)
+
     def test_rejects_nonpositive_tau(self, rng):
         with pytest.raises(ValueError):
             tsvt(random_tensor(rng, 2, 2, 2), 0.0)

@@ -190,6 +190,21 @@ class TestIncoherence:
         assert rep.mu_u == pytest.approx(expected_mu, rel=1e-9)
         assert rep.mu_v == pytest.approx(expected_mu, rel=1e-9)
 
+    def test_random_low_rank_matches_basis_column_products(self):
+        # brute force over every basis column: max_i ||U^T * e_i||_F and
+        # max_j ||V^T * e_j||_F through explicit t-products
+        n1, n2, n3, r = 30, 20, 7, 3
+        L = gen_low_rank((n1, n2, n3), r, 5)
+        rep = incoherence_report(L)
+        assert rep.r == r
+        f = ta.tsvd(L, rank=r)
+        for Q, n, mu in ((f.U, n1, rep.mu_u), (f.V, n2, rep.mu_v)):
+            Qt = ta.ttranspose(Q)
+            max_sq = max(
+                tc.norm_fro(ta.tprod(Qt, tc.basis_column(i, n, n3))) ** 2 for i in range(n)
+            )
+            assert mu == pytest.approx(n * n3 / r * max_sq, rel=1e-9)
+
     def test_spiky_tensor_is_maximally_incoherent(self):
         n1, n2, n3 = 5, 4, 3
         spike = np.zeros((n1, n2, n3))

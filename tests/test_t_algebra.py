@@ -3,6 +3,7 @@ import pytest
 
 from trpca import t_algebra as ta
 from trpca import tensor_core as tc
+from trpca.prox import tsvt
 
 from conftest import random_tensor
 
@@ -271,6 +272,17 @@ class TestTsvd:
             assert np.all(d >= -1e-12)
             assert np.all(np.diff(d) <= 1e-12)
 
+    def test_rank_deficient_input_keeps_factors_orthogonal(self, rng):
+        # the null-space singular vectors of the even-n3 middle slice must
+        # come out real, or U and V lose orthogonality on the way back
+        P = random_tensor(rng, 8, 3, 6)
+        Q = random_tensor(rng, 3, 8, 6)
+        A = ta.tprod(P, Q)
+        f = ta.tsvd(A)
+        assert ta.is_orthogonal(f.U, tol=1e-8)
+        assert ta.is_orthogonal(f.V, tol=1e-8)
+        assert tc.norm_fro(f.compose() - A) <= 1e-10 * tc.norm_fro(A)
+
     def test_one_sided_orthogonality_rectangular(self, rng):
         A = random_tensor(rng, 5, 3, 4)
         f = ta.tsvd(A)
@@ -284,14 +296,14 @@ class TestTsvd:
 class TestSkinnyTsvd:
     def test_full_rank_matches_full(self, rng):
         A = random_tensor(rng, 4, 3, 2)
-        skinny = ta.skinny_tsvd(A, 3)
+        skinny = ta.tsvd(A, rank=3)
         assert tc.norm_fro(skinny.compose() - A) <= 1e-10 * tc.norm_fro(A)
 
     def test_exact_on_low_rank_input(self, rng):
         P = random_tensor(rng, 5, 2, 3)
         Q = random_tensor(rng, 2, 5, 3)
         A = ta.tprod(P, Q)
-        f = ta.skinny_tsvd(A, 2)
+        f = ta.tsvd(A, rank=2)
         assert tc.norm_fro(f.compose() - A) <= 1e-9 * tc.norm_fro(A)
 
     def test_rank_one_identity_error(self):
@@ -299,15 +311,49 @@ class TestSkinnyTsvd:
         # squared Frobenius norm after the 1/n3 of the inverse transform
         # (checked against per-slice SVD truncation by hand)
         I = ta.identity_tensor(2, 3)
-        f = ta.skinny_tsvd(I, 1)
+        f = ta.tsvd(I, rank=1)
         assert tc.norm_fro(f.compose() - I) ** 2 == pytest.approx(1.0, rel=1e-9)
 
     def test_rank_out_of_range(self, rng):
         A = random_tensor(rng, 3, 3, 2)
         with pytest.raises(ValueError):
-            ta.skinny_tsvd(A, 4)
+            ta.tsvd(A, rank=4)
         with pytest.raises(ValueError):
-            ta.skinny_tsvd(A, 0)
+            ta.tsvd(A, rank=0)
+
+
+class TestSpectralLayer:
+    def test_one_svd_call_per_sweep(self, rng, monkeypatch):
+        svd = np.linalg.svd
+        calls = []
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        A = random_tensor(rng, 5, 4, 6)
+        for sweep in (lambda: tsvt(A, 0.5), lambda: ta.tsvd(A), lambda: ta.multi_rank(A)):
+            calls.clear()
+            sweep()
+            # the whole half spectrum, slices 0..3 of 6, in a single call
+            assert calls == [(4, 5, 4)]
+
+    def test_failed_singular_value_sweep_is_retried(self, rng, monkeypatch):
+        A = random_tensor(rng, 5, 3, 4)
+        expected = ta.tnn(A)
+        svd = np.linalg.svd
+        calls = []
+
+        def svd_failing_once(*args, **kwargs):
+            calls.append(args[0].shape)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd_failing_once)
+        assert ta.tnn(A) == pytest.approx(expected, rel=1e-12)
+        assert calls == [(3, 5, 3), (3, 3, 5)]
 
 
 class TestRanks:
