@@ -3,7 +3,8 @@
 Subcommands: ``tsvd`` (inspect a tensor file), ``solve`` (decompose a
 tensor), ``table1`` (seeded exact-recovery trials), ``phase`` (rank vs
 sparsity phase grid), ``denoise`` (image recovery).  Exit codes: 0 on
-success, 2 on bad input, 3 when the solver hits the iteration cap.  Every
+success, 2 on bad input, 3 when the solver hits the iteration cap, 4 on a
+numerical failure (an SVD that LAPACK cannot factor).  Every
 randomized command prints its seed, and identical seeds reproduce file
 outputs byte for byte.
 """
@@ -19,11 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from . import imaging, synth, t_algebra, tensor_core
-from .solver import SolverConfig, default_lambda, incoherence_report, load_config, solve
+from .solver import SolverConfig, _incoherence, default_lambda, load_config, solve
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
+EXIT_NUMERICAL = 4
 
 
 class InputError(Exception):
@@ -54,24 +56,15 @@ def _build_config(args) -> SolverConfig:
 def cmd_tsvd(args) -> int:
     A = _load_tensor(args.input)
     n1, n2, n3 = A.shape
-    mr = t_algebra.multi_rank(A, args.tol)
+    mr, tnn, spectral_norm, U, Vh = t_algebra._sweep(A, args.tol, factors=True)
     report = {
         "dims": [n1, n2, n3],
         "multi_rank": [int(r) for r in mr],
         "tubal_rank": int(mr.max()),
-        "tnn": t_algebra.tnn(A),
-        "spectral_norm": t_algebra.spectral_norm(A),
+        "tnn": tnn,
+        "spectral_norm": spectral_norm,
+        "incoherence": dataclasses.asdict(_incoherence(U, Vh, n3)) if np.any(A) else None,
     }
-    if np.any(A):
-        inc = incoherence_report(A, args.tol)
-        report["incoherence"] = {
-            "mu_u": inc.mu_u,
-            "mu_v": inc.mu_v,
-            "mu_joint": inc.mu_joint,
-            "r": inc.r,
-        }
-    else:
-        report["incoherence"] = None
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -303,10 +296,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except np.linalg.LinAlgError as exc:
+        # a subclass of ValueError, so it must be caught first
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -149,16 +149,23 @@ class IncoherenceReport:
 def incoherence_report(L: np.ndarray, tol: float = t_algebra.DEFAULT_RANK_TOL) -> IncoherenceReport:
     """Evaluate the three incoherence bounds at the detected tubal rank."""
     L = as_tensor(L)
-    if not np.any(L):
-        raise ValueError("incoherence is undefined for the zero tensor")
-    n1, n2, n3 = L.shape
-    r = t_algebra.tubal_rank(L, tol)
-    f = t_algebra.tsvd(L, rank=r)
+    *_, U, Vh = t_algebra._sweep(L, tol, factors=True)
+    return _incoherence(U, Vh, L.shape[2])
+
+
+def _incoherence(U: np.ndarray, Vh: np.ndarray, n3: int) -> IncoherenceReport:
+    """Incoherence bounds from the rank-r spectral factors of ``t_algebra._sweep``."""
+    n1, r, n2 = U.shape[1], U.shape[2], Vh.shape[2]
+    if r < 1:
+        raise ValueError("incoherence is undefined at tubal rank 0")
     # ||U^T * e_i||_F = ||U[i, :, :]||_F: the t-product with a column basis
     # tensor picks out horizontal slice i (Parseval along each tube)
-    max_u_sq = float((f.U**2).sum(axis=(1, 2)).max())
-    max_v_sq = float((f.V**2).sum(axis=(1, 2)).max())
-    uv_inf = norm_inf(t_algebra.tprod(f.U, t_algebra.ttranspose(f.V)))
+    Ut = t_algebra._from_half_spectrum(U, n3)
+    Vt = t_algebra._from_half_spectrum(Vh.conj().swapaxes(1, 2), n3)
+    max_u_sq = float((Ut**2).sum(axis=(1, 2)).max())
+    max_v_sq = float((Vt**2).sum(axis=(1, 2)).max())
+    # U * V^T is the slicewise product U_k V_k^H of the spectral factors
+    uv_inf = norm_inf(t_algebra._from_half_spectrum(U @ Vh, n3))
     return IncoherenceReport(
         mu_u=n1 * n3 / r * max_u_sq,
         mu_v=n2 * n3 / r * max_v_sq,

@@ -9,12 +9,12 @@ inverse (numpy's default), which makes the tensor nuclear norm equal
 For real inputs the spectrum is conjugate-symmetric across frontal slices
 (slice k pairs with slice n3-k, 0-based), so only the first ``n3 // 2 + 1``
 slices carry information.  One set of private helpers holds that layer:
-``_half_spectrum`` stacks those slices as an ``(h, n1, n2)`` array,
-``_svd`` factors the whole stack in one batched call, and
+``_half_spectrum`` computes those slices with ``rfft`` as an ``(h, n1, n2)``
+stack, ``_svd`` factors the whole stack in one batched call, and
 ``_from_half_spectrum`` returns to a real tensor through ``irfft``, whose
-output is real by construction.  The t-product, the t-SVD, the singular
-value sweep behind the ranks and norms, and ``prox.tsvt`` all go through
-them.
+output is real by construction.  The t-product, the t-SVD and ``prox.tsvt``
+go through them; ``_sweep`` reads one ``_svd`` call out as all the ranks,
+norms and rank-r factors that an inspection of a tensor needs.
 """
 
 from __future__ import annotations
@@ -94,17 +94,8 @@ def idft3(Abar: np.ndarray, scale: float | None = None) -> np.ndarray:
 
 
 def _half_spectrum(A: np.ndarray) -> np.ndarray:
-    """Spectral slices 0..n3//2 of A as an (h, n1, n2) stack; the rest are
-    their conjugates.
-
-    Slice 0 and, for even n3, slice n3/2 are their own conjugates, so they
-    are real; their rounding residue is dropped so that SVD factors of those
-    slices come out real too, null-space vectors included.
-    """
-    n3 = A.shape[2]
-    stack = np.moveaxis(dft3(A)[:, :, : n3 // 2 + 1], 2, 0)
-    stack.imag[[0, n3 // 2] if n3 % 2 == 0 else [0]] = 0.0
-    return stack
+    """Spectral slices 0..n3//2 of A, whose conjugates are the rest, as an (h, n1, n2) stack."""
+    return np.moveaxis(np.fft.rfft(np.asarray(A, dtype=np.float64), axis=2), 2, 0)
 
 
 def _from_half_spectrum(stack: np.ndarray, n3: int) -> np.ndarray:
@@ -113,22 +104,23 @@ def _from_half_spectrum(stack: np.ndarray, n3: int) -> np.ndarray:
 
 
 def _svd(stack: np.ndarray, compute_uv: bool = True):
-    """Thin SVD of every matrix in the stack in one batched call.
+    """Thin SVD of every matrix in the stack in one batched call, as
+    (U, s, Vh); without ``compute_uv`` U and Vh are None.
 
     LAPACK's divide-and-conquer SVD (gesdd) occasionally fails to converge on a
     finite matrix that its conjugate transpose factors fine, so a failure is
     retried once on the conjugate transposes with the factors swapped back.
     """
     try:
-        return np.linalg.svd(stack, full_matrices=False, compute_uv=compute_uv)
+        out = np.linalg.svd(stack, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
         out = np.linalg.svd(
             stack.conj().swapaxes(-1, -2), full_matrices=False, compute_uv=compute_uv
         )
-    if not compute_uv:
-        return out
-    U, s, Vh = out
-    return Vh.conj().swapaxes(-1, -2), s, U.conj().swapaxes(-1, -2)
+        if compute_uv:
+            U, s, Vh = out
+            out = Vh.conj().swapaxes(-1, -2), s, U.conj().swapaxes(-1, -2)
+    return out if compute_uv else (None, out, None)
 
 
 def bcirc(A: np.ndarray) -> np.ndarray:
@@ -239,25 +231,32 @@ def tsvd(A: np.ndarray, rank: int | None = None) -> TSvd:
     )
 
 
-def _spectral_singular_values(A: np.ndarray) -> np.ndarray:
-    """Singular values of every spectral slice, shape (n3, min(n1, n2)).
+def _sweep(A: np.ndarray, tol: float = DEFAULT_RANK_TOL, factors: bool = False):
+    """One SVD of the half spectrum of A, read out as (multi rank, tnn,
+    spectral norm, U, Vh).
 
-    Slice k shares its singular values with its conjugate partner n3-k, so
-    the half-spectrum sweep is indexed out to all n3 rows.
+    Ranks count singular values above ``tol`` times the global largest one.
+    With ``factors``, U and Vh are copies of the (h, n1, r) and (h, r, n2)
+    spectral factors cut to the tubal rank r, so the full stacks are freed
+    on return; otherwise both are None.
     """
+    if tol < 0:
+        raise ValueError("rank tolerance must be nonnegative")
     A = as_tensor(A)
+    U, s, Vh = _svd(_half_spectrum(A), compute_uv=factors)
+    # slice k shares its singular values with its conjugate partner n3-k
     k = np.arange(A.shape[2])
-    return _svd(_half_spectrum(A), compute_uv=False)[np.minimum(k, -k % A.shape[2])]
+    sv = s[np.minimum(k, -k % A.shape[2])]
+    ranks = (sv > tol * sv.max(initial=0.0)).sum(axis=1).astype(int)
+    if factors:
+        U, Vh = U[:, :, : ranks.max()].copy(), Vh[:, : ranks.max(), :].copy()
+    return ranks, float(sv.sum() / A.shape[2]), float(sv.max()), U, Vh
 
 
 def multi_rank(A: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Per-spectral-slice matrix ranks, relative to the global largest
     singular value."""
-    if tol < 0:
-        raise ValueError("rank tolerance must be nonnegative")
-    sv = _spectral_singular_values(A)
-    cutoff = tol * sv.max(initial=0.0)
-    return (sv > cutoff).sum(axis=1).astype(int)
+    return _sweep(A, tol)[0]
 
 
 def tubal_rank(A: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
@@ -272,9 +271,9 @@ def average_rank(A: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> float:
 
 def tnn(A: np.ndarray) -> float:
     """Tensor nuclear norm: mean of the spectral slices' nuclear norms."""
-    return float(_spectral_singular_values(A).sum() / A.shape[2])
+    return _sweep(A)[1]
 
 
 def spectral_norm(A: np.ndarray) -> float:
     """Tensor spectral norm: largest singular value across spectral slices."""
-    return float(_spectral_singular_values(A).max())
+    return _sweep(A)[2]

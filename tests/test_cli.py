@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from trpca import imaging, t_algebra, tensor_core
-from trpca.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, main
+from trpca.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_NUMERICAL, EXIT_OK, main
+from trpca.solver import incoherence_report
 from trpca.synth import gen_low_rank, gen_sparse_uniform
 
 
@@ -55,6 +56,83 @@ class TestTsvdCommand:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["tsvd", str(tmp_path / "nope.tns3")]) == EXIT_INPUT
+
+    def test_svd_failure_exit_4(self, identity_file, monkeypatch, capsys):
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        assert main(["tsvd", str(identity_file)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical failure: ")
+        assert err.count("\n") == 1
+
+    def test_one_factorization_per_inspection(self, tmp_path, monkeypatch, capsys):
+        L = gen_low_rank((9, 7, 6), 3, 0)
+        path = tmp_path / "L.tns3"
+        tensor_core.save_tensor(path, L)
+        svd, fft, rfft = np.linalg.svd, np.fft.fft, np.fft.rfft
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def no_tprod(*args, **kwargs):
+            raise AssertionError("inspection must not form t-products")
+
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", svd))
+        monkeypatch.setattr(np.fft, "fft", counting("fft", fft))
+        monkeypatch.setattr(np.fft, "rfft", counting("fft", rfft))
+        monkeypatch.setattr(t_algebra, "tprod", no_tprod)
+        assert main(["tsvd", str(path), "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["incoherence"]["r"] == 3
+        assert calls.count("svd") == 1
+        assert calls.count("fft") <= 1
+        calls.clear()
+        assert incoherence_report(L).r == 3
+        assert calls.count("svd") == 1
+
+
+class TestTsvdReportAgreement:
+    """The one-factorization report equals the separate public functions."""
+
+    CASES = {
+        "odd_n3": (lambda: gen_low_rank((8, 6, 7), 3, 1), 1e-8),
+        "even_n3_rank_deficient": (lambda: gen_low_rank((8, 6, 6), 3, 2), 1e-8),
+        "n3_one": (lambda: gen_low_rank((5, 7, 1), 2, 3), 1e-8),
+        "tall": (lambda: np.random.default_rng(4).normal(size=(9, 4, 5)), 1e-8),
+        "wide": (lambda: np.random.default_rng(5).normal(size=(4, 9, 4)), 1e-8),
+        "nonzero_tol": (lambda: np.random.default_rng(6).normal(size=(7, 6, 6)), 0.3),
+        "zero": (lambda: np.zeros((3, 4, 2)), 1e-8),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_report_matches_public_functions(self, case, tmp_path, capsys):
+        make, tol = self.CASES[case]
+        A = make()
+        path = tmp_path / "A.tns3"
+        tensor_core.save_tensor(path, A)
+        assert main(["tsvd", str(path), "--json", "--tol", repr(tol)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["multi_rank"] == t_algebra.multi_rank(A, tol).tolist()
+        assert report["tubal_rank"] == t_algebra.tubal_rank(A, tol)
+        assert report["tnn"] == pytest.approx(t_algebra.tnn(A), rel=1e-12, abs=0.0)
+        assert report["spectral_norm"] == pytest.approx(
+            t_algebra.spectral_norm(A), rel=1e-12, abs=0.0
+        )
+        if case == "zero":
+            assert report["incoherence"] is None
+            return
+        inc = incoherence_report(A, tol)
+        assert report["incoherence"]["r"] == inc.r
+        for field in ("mu_u", "mu_v", "mu_joint"):
+            assert report["incoherence"][field] == pytest.approx(
+                getattr(inc, field), rel=1e-12, abs=0.0
+            )
 
 
 class TestSolveCommand:
