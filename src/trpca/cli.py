@@ -4,9 +4,8 @@ Subcommands: ``tsvd`` (inspect a tensor file), ``solve`` (decompose a
 tensor), ``table1`` (seeded exact-recovery trials), ``phase`` (rank vs
 sparsity phase grid), ``denoise`` (image recovery).  Exit codes: 0 on
 success, 2 on bad input, 3 when the solver hits the iteration cap, 4 on a
-numerical failure (an SVD that LAPACK cannot factor).  Every
-randomized command prints its seed, and identical seeds reproduce file
-outputs byte for byte.
+numerical failure (an SVD that LAPACK cannot factor).  Every randomized command
+prints its seed, and identical seeds reproduce file outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -55,20 +54,19 @@ def _build_config(args) -> SolverConfig:
 
 def cmd_tsvd(args) -> int:
     A = _load_tensor(args.input)
-    n1, n2, n3 = A.shape
     mr, tnn, spectral_norm, U, Vh = t_algebra._sweep(A, args.tol, factors=True)
     report = {
-        "dims": [n1, n2, n3],
+        "dims": list(A.shape),
         "multi_rank": [int(r) for r in mr],
         "tubal_rank": int(mr.max()),
         "tnn": tnn,
         "spectral_norm": spectral_norm,
-        "incoherence": dataclasses.asdict(_incoherence(U, Vh, n3)) if np.any(A) else None,
+        "incoherence": dataclasses.asdict(_incoherence(U, Vh, A.shape[2])) if np.any(A) else None,
     }
     if args.json:
         print(json.dumps(report, indent=2))
     else:
-        print(f"dims: {n1} x {n2} x {n3}")
+        print("dims: {} x {} x {}".format(*A.shape))
         print(f"multi rank: {' '.join(str(r) for r in report['multi_rank'])}")
         print(f"tubal rank: {report['tubal_rank']}")
         print(f"tnn: {report['tnn']:.12g}")

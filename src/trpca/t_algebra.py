@@ -9,8 +9,8 @@ inverse (numpy's default), which makes the tensor nuclear norm equal
 For real inputs the spectrum is conjugate-symmetric across frontal slices
 (slice k pairs with slice n3-k, 0-based), so only the first ``n3 // 2 + 1``
 slices carry information.  One set of private helpers holds that layer:
-``_half_spectrum`` computes those slices with ``rfft`` as an ``(h, n1, n2)``
-stack, ``_svd`` factors the whole stack in one batched call, and
+``_half_spectrum`` stacks those slices of ``dft3`` as an ``(h, n1, n2)``
+array, ``_svd`` factors the whole stack in one batched call, and
 ``_from_half_spectrum`` returns to a real tensor through ``irfft``, whose
 output is real by construction.  The t-product, the t-SVD and ``prox.tsvt``
 go through them; ``_sweep`` reads one ``_svd`` call out as all the ranks,
@@ -94,8 +94,15 @@ def idft3(Abar: np.ndarray, scale: float | None = None) -> np.ndarray:
 
 
 def _half_spectrum(A: np.ndarray) -> np.ndarray:
-    """Spectral slices 0..n3//2 of A, whose conjugates are the rest, as an (h, n1, n2) stack."""
-    return np.moveaxis(np.fft.rfft(np.asarray(A, dtype=np.float64), axis=2), 2, 0)
+    """Spectral slices 0..n3//2 of A, whose conjugates are the rest, as an (h, n1, n2) stack.
+
+    Slice 0 and, for even n3, slice n3/2 are their own conjugates, so they are real; their
+    rounding residue is dropped so that their SVD factors, null spaces included, are real too.
+    """
+    n3 = A.shape[2]
+    stack = np.moveaxis(dft3(A)[:, :, : n3 // 2 + 1], 2, 0)
+    stack.imag[[0, n3 // 2] if n3 % 2 == 0 else [0]] = 0.0
+    return stack
 
 
 def _from_half_spectrum(stack: np.ndarray, n3: int) -> np.ndarray:
@@ -114,9 +121,8 @@ def _svd(stack: np.ndarray, compute_uv: bool = True):
     try:
         out = np.linalg.svd(stack, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
-        out = np.linalg.svd(
-            stack.conj().swapaxes(-1, -2), full_matrices=False, compute_uv=compute_uv
-        )
+        H = stack.conj().swapaxes(-1, -2)
+        out = np.linalg.svd(H, full_matrices=False, compute_uv=compute_uv)
         if compute_uv:
             U, s, Vh = out
             out = Vh.conj().swapaxes(-1, -2), s, U.conj().swapaxes(-1, -2)
@@ -232,13 +238,10 @@ def tsvd(A: np.ndarray, rank: int | None = None) -> TSvd:
 
 
 def _sweep(A: np.ndarray, tol: float = DEFAULT_RANK_TOL, factors: bool = False):
-    """One SVD of the half spectrum of A, read out as (multi rank, tnn,
-    spectral norm, U, Vh).
+    """One SVD of the half spectrum of A, as (multi rank, tnn, spectral norm, U, Vh).
 
-    Ranks count singular values above ``tol`` times the global largest one.
-    With ``factors``, U and Vh are copies of the (h, n1, r) and (h, r, n2)
-    spectral factors cut to the tubal rank r, so the full stacks are freed
-    on return; otherwise both are None.
+    Ranks count singular values above ``tol`` times the global largest one.  U and Vh are None, or
+    with ``factors`` the spectral factors copied to the tubal rank to free the full stacks.
     """
     if tol < 0:
         raise ValueError("rank tolerance must be nonnegative")
@@ -254,8 +257,7 @@ def _sweep(A: np.ndarray, tol: float = DEFAULT_RANK_TOL, factors: bool = False):
 
 
 def multi_rank(A: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Per-spectral-slice matrix ranks, relative to the global largest
-    singular value."""
+    """Per-spectral-slice matrix ranks, relative to the global largest singular value."""
     return _sweep(A, tol)[0]
 
 
