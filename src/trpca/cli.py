@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import imaging, synth, t_algebra, tensor_core
-from .solver import SolverConfig, _incoherence, default_lambda, load_config, solve
+from .solver import SolverConfig, _incoherence, load_config, solve
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -40,9 +40,9 @@ def _load_tensor(path) -> np.ndarray:
 
 def _build_config(args) -> SolverConfig:
     config = SolverConfig()
-    if getattr(args, "config", None):
+    if args.config:
         try:
-            config = load_config(args.config, base=config)
+            config = load_config(args.config)
         except (OSError, ValueError) as exc:
             raise InputError(f"cannot read config {args.config}: {exc}") from exc
     if getattr(args, "lam", None) is not None:
@@ -84,13 +84,11 @@ def cmd_tsvd(args) -> int:
 
 def cmd_solve(args) -> int:
     X = _load_tensor(args.input)
-    config = _build_config(args)
-    lam = config.lam if config.lam is not None else default_lambda(X.shape)
-    result = solve(X, config)
+    result = solve(X, _build_config(args))
     tensor_core.save_tensor(args.out_L, result.L)
     tensor_core.save_tensor(args.out_E, result.E)
     res_l, res_e, res_gap = result.residual_history[-1]
-    print(f"lambda: {lam:.12g}")
+    print(f"lambda: {result.lam:.12g}")
     print(f"iterations: {result.iterations}")
     print(f"converged: {'yes' if result.converged else 'no'}")
     print(f"residuals: dL={res_l:.3e} dE={res_e:.3e} gap={res_gap:.3e}")

@@ -185,13 +185,13 @@ _CONFIG_FIELDS = {
 }
 
 
-def load_config(path, base: SolverConfig | None = None) -> SolverConfig:
+def load_config(path) -> SolverConfig:
     """Read solver parameters from a flat key=value text file.
 
     Blank lines and '#' comments are ignored; unknown keys are an error.
-    Values in ``base`` are kept for keys the file does not mention.
+    Keys the file does not mention keep their :class:`SolverConfig` defaults.
     """
-    config = base if base is not None else SolverConfig()
+    config = SolverConfig()
     with open(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.split("#", 1)[0].strip()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +36,9 @@ __all__ = [
 # Threshold (relative to the max entry) below which a recovered sparse entry
 # counts as zero when reporting support size.
 NNZ_REL_TOL = 1e-8
+
+# A trial succeeds when the relative error of the recovered L is at most this.
+SUCCESS_TOL = 1e-3
 
 TRIAL_CSV_COLUMNS = [
     "n1",
@@ -69,7 +72,6 @@ class TrialSpec:
     sparsity_model: str
     sparsity_param: float
     seed: int
-    success_tol: float = 1e-3
 
     def __post_init__(self):
         d = TensorDims(*self.dims).validate()
@@ -107,10 +109,10 @@ class PhaseGrid:
     rho_values[i] and r_fractions[j].
     """
 
-    r_fractions: list = field(default_factory=list)
-    rho_values: list = field(default_factory=list)
-    trials_per_cell: int = 0
-    success_fraction: np.ndarray | None = None
+    r_fractions: list
+    rho_values: list
+    trials_per_cell: int
+    success_fraction: np.ndarray
 
 
 def gen_low_rank(dims, r: int, seed) -> np.ndarray:
@@ -196,7 +198,7 @@ def run_trial(spec: TrialSpec, config: SolverConfig | None = None) -> TrialOutco
         nnz_hat=nnz_hat,
         rel_err_L=rel_l,
         rel_err_E=_rel_err(result.E, E0),
-        success=rel_l <= spec.success_tol,
+        success=rel_l <= SUCCESS_TOL,
         iterations=result.iterations,
         wall_time=wall,
     )
@@ -209,7 +211,6 @@ def phase_grid(
     trials: int,
     base_seed: int,
     config: SolverConfig | None = None,
-    success_tol: float = 1e-3,
 ) -> PhaseGrid:
     """Success fraction per (rank fraction, Bernoulli sparsity) cell.
 
@@ -236,7 +237,6 @@ def phase_grid(
                     sparsity_model="bernoulli",
                     sparsity_param=rho_s,
                     seed=seed,
-                    success_tol=success_tol,
                 )
                 successes += run_trial(spec, config).success
             grid[i, j] = successes / trials

@@ -53,13 +53,12 @@ class TSvd:
 
     ``U`` is n1 x rho x n3, ``S`` is rho x rho x n3, ``V`` is n2 x rho x n3
     where rho = min(n1, n2) for the full factorization or the requested
-    rank for the skinny one.
+    rank for the skinny one, which differs from the full one only in rho.
     """
 
     U: np.ndarray
     S: np.ndarray
     V: np.ndarray
-    skinny: bool = False
 
     @property
     def rho(self) -> int:
@@ -75,15 +74,15 @@ def dft3(A: np.ndarray) -> np.ndarray:
     return np.fft.fft(np.asarray(A, dtype=np.float64), axis=2)
 
 
-def idft3(Abar: np.ndarray, scale: float | None = None) -> np.ndarray:
+def idft3(Abar: np.ndarray) -> np.ndarray:
     """Inverse DFT of every tube; the result must come out real.
 
     Raises ValueError when the imaginary residue exceeds ``1e-8`` times the
-    data scale, which indicates a spectrum that is not conjugate-symmetric.
+    largest real entry (or 1, if larger), which indicates a spectrum that is
+    not conjugate-symmetric.
     """
     A = np.fft.ifft(np.asarray(Abar, dtype=np.complex128), axis=2)
-    if scale is None:
-        scale = max(float(np.abs(A.real).max(initial=0.0)), 1.0)
+    scale = max(float(np.abs(A.real).max(initial=0.0)), 1.0)
     residue = float(np.abs(A.imag).max(initial=0.0))
     if residue > 1e-8 * scale:
         raise ValueError(
@@ -223,8 +222,7 @@ def tsvd(A: np.ndarray, rank: int | None = None) -> TSvd:
     A = as_tensor(A)
     n1, n2, n3 = A.shape
     rho = min(n1, n2)
-    skinny = rank is not None
-    if skinny:
+    if rank is not None:
         if not 1 <= rank <= rho:
             raise ValueError(f"rank {rank} out of range [1, {rho}]")
         rho = rank
@@ -233,7 +231,6 @@ def tsvd(A: np.ndarray, rank: int | None = None) -> TSvd:
         U=_from_half_spectrum(U[:, :, :rho], n3),
         S=_from_half_spectrum(s[:, :rho, None] * np.eye(rho), n3),
         V=_from_half_spectrum(Vh[:, :rho, :].conj().swapaxes(1, 2), n3),
-        skinny=skinny,
     )
 
 

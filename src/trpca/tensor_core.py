@@ -13,7 +13,6 @@ slice-major order (k slowest, then i, then j fastest).
 
 from __future__ import annotations
 
-import io
 import struct
 from typing import BinaryIO, NamedTuple
 
@@ -43,6 +42,9 @@ _MAGIC = b"TNS3"
 # binary reader against corrupted headers.
 _MAX_ENTRIES = 1 << 40
 
+# Size of each read of a tensor file's payload.
+_CHUNK_BYTES = 1 << 20
+
 
 class TensorDims(NamedTuple):
     """Extents of a third-order tensor."""
@@ -71,13 +73,13 @@ class TensorDims(NamedTuple):
         return self
 
 
-def as_tensor(a, check_finite: bool = True) -> np.ndarray:
+def as_tensor(a) -> np.ndarray:
     """Coerce `a` to a float64 3-way array, validating shape and finiteness."""
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 3:
         raise ValueError(f"expected a 3-way tensor, got ndim={arr.ndim}")
     TensorDims(*arr.shape).validate()
-    if check_finite and not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():
         raise ValueError("tensor contains NaN or Inf entries")
     return arr
 
@@ -173,14 +175,15 @@ def read_tensor(f: BinaryIO) -> np.ndarray:
     n1, n2, n3 = struct.unpack("<QQQ", header)
     dims = TensorDims(n1, n2, n3).validate()
     expected = 8 * dims.total
-    if f.seekable():
-        # a corrupted header must not turn into a huge read buffer
-        start = f.tell()
-        left = f.seek(0, io.SEEK_END) - start
-        f.seek(start)
-        if left != expected:
-            raise ValueError(f"payload size mismatch: expected {expected} bytes, got {left}")
-    payload = f.read(expected + 1)
+    # read in chunks up to one byte past the payload, so memory grows only
+    # with the bytes that actually arrive and a corrupted header cannot turn
+    # into a huge read buffer, whatever the stream
+    payload = bytearray()
+    while len(payload) <= expected:
+        chunk = f.read(min(_CHUNK_BYTES, expected + 1 - len(payload)))
+        if not chunk:
+            break
+        payload += chunk
     if len(payload) != expected:
         raise ValueError(f"payload size mismatch: expected {expected} bytes, got {len(payload)}")
     flat = np.frombuffer(payload, dtype="<f8")

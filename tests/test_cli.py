@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -45,14 +47,24 @@ class TestTsvdCommand:
         assert "error" in capsys.readouterr().err
 
     def test_oversized_header_exit_2(self, tmp_path, capsys):
-        # 8192^3 declared entries (4 TiB) in a 100-byte file
-        path = tmp_path / "huge.tns3"
+        # 8192^3 declared entries (4 TiB) in 100 bytes, from a regular file
+        # and from a named pipe, which cannot report how many bytes are left
         header = b"TNS3" + np.array([8192, 8192, 8192], dtype="<u8").tobytes()
-        path.write_bytes(header + b"\0" * (100 - len(header)))
-        assert main(["tsvd", str(path)]) == EXIT_INPUT
-        err = capsys.readouterr().err
-        assert "size mismatch" in err
-        assert "Traceback" not in err
+        data = header + b"\0" * (100 - len(header))
+        streams = ["file", "pipe"] if hasattr(os, "mkfifo") else ["file"]
+        for stream in streams:
+            path = tmp_path / f"huge-{stream}.tns3"
+            if stream == "pipe":
+                os.mkfifo(path)
+                # the writer blocks until main opens the pipe for reading
+                threading.Thread(target=path.write_bytes, args=(data,), daemon=True).start()
+            else:
+                path.write_bytes(data)
+            assert main(["tsvd", str(path)]) == EXIT_INPUT
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "size mismatch" in err
+            assert "Traceback" not in err
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["tsvd", str(tmp_path / "nope.tns3")]) == EXIT_INPUT

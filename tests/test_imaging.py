@@ -202,7 +202,7 @@ class TestChannelwiseBaseline:
         clean = imaging.stack_to_tensor(stack)
         corrupted, _ = imaging.corrupt_pixels(clean, 0.1, 0)
         cfg = SolverConfig(max_iter=100)
-        base_report, base_L = imaging.rpca_channelwise_baseline(stack, corrupted, cfg)
+        base_L = imaging.rpca_channelwise_baseline(corrupted, cfg)
         from trpca.solver import solve
 
         direct = solve(corrupted, SolverConfig(max_iter=100))

@@ -132,9 +132,7 @@ class TestRunTrial:
         )
 
     def test_success_definition(self):
-        spec = TrialSpec(
-            tc.TensorDims(12, 12, 3), 6, "bernoulli", 0.6, 3, success_tol=1e-3
-        )
+        spec = TrialSpec(tc.TensorDims(12, 12, 3), 6, "bernoulli", 0.6, 3)
         out = run_trial(spec, SolverConfig(max_iter=60))
         assert out.success == (out.rel_err_L <= 1e-3)
 

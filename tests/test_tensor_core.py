@@ -163,7 +163,9 @@ class TestFileFormat:
         A = random_tensor(rng, 3, 4, 5)
         path = tmp_path / "a.tns3"
         tc.save_tensor(path, A)
-        assert np.array_equal(tc.load_tensor(path), A)
+        B = tc.load_tensor(path)
+        assert np.array_equal(B, A)
+        assert B.flags.writeable
 
     def test_layout(self):
         # header then slice-major float64 payload
@@ -194,3 +196,38 @@ class TestFileFormat:
         tc.write_tensor(buf, A)
         with pytest.raises(ValueError, match="size mismatch"):
             tc.read_tensor(io.BytesIO(buf.getvalue() + b"\0"))
+
+    def test_unseekable_stream_round_trip(self, rng):
+        # more than one read chunk, through a stream that cannot report its length
+        A = random_tensor(rng, 64, 64, 40)
+        buf = io.BytesIO()
+        tc.write_tensor(buf, A)
+        assert np.array_equal(tc.read_tensor(_pipe(buf.getvalue())), A)
+        with pytest.raises(ValueError, match="size mismatch"):
+            tc.read_tensor(_pipe(buf.getvalue() + b"\0"))
+        with pytest.raises(ValueError, match="size mismatch"):
+            tc.read_tensor(_pipe(buf.getvalue()[:-8]))
+
+    def test_unseekable_stream_oversized_header(self):
+        # 2^38 declared entries (2 TiB) followed by 100 bytes
+        header = b"TNS3" + np.array([1 << 14, 1 << 14, 1 << 10], dtype="<u8").tobytes()
+        with pytest.raises(ValueError, match="size mismatch"):
+            tc.read_tensor(_pipe(header + b"\0" * 100))
+
+
+class _RawPipe(io.RawIOBase):
+    """In-memory raw stream that, like a pipe, cannot seek."""
+
+    def __init__(self, data: bytes):
+        self._data = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, b):
+        return self._data.readinto(b)
+
+
+def _pipe(data: bytes) -> io.BufferedReader:
+    """A buffered reader over ``data`` as ``open`` returns one for a pipe."""
+    return io.BufferedReader(_RawPipe(data))
