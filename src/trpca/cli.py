@@ -4,8 +4,9 @@ Subcommands: ``tsvd`` (inspect a tensor file), ``solve`` (decompose a
 tensor), ``table1`` (seeded exact-recovery trials), ``phase`` (rank vs
 sparsity phase grid), ``denoise`` (image recovery).  Exit codes: 0 on
 success, 2 on bad input, 3 when the solver hits the iteration cap, 4 on a
-numerical failure (an SVD that LAPACK cannot factor).  Every randomized command
-prints its seed, and identical seeds reproduce file outputs byte for byte.
+numerical failure (a spectral factorization that LAPACK cannot compute).
+Every randomized command prints its seed, and identical seeds reproduce file
+outputs byte for byte.
 """
 
 from __future__ import annotations

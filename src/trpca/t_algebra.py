@@ -9,12 +9,13 @@ inverse (numpy's default), which makes the tensor nuclear norm equal
 For real inputs the spectrum is conjugate-symmetric across frontal slices
 (slice k pairs with slice n3-k, 0-based), so only the first ``n3 // 2 + 1``
 slices carry information.  One set of private helpers holds that layer:
-``_half_spectrum`` stacks those slices of ``dft3`` as an ``(h, n1, n2)``
+``_half_spectrum`` copies those slices of ``dft3`` into an ``(h, n1, n2)``
 array, ``_svd`` factors the whole stack in one batched call, and
 ``_from_half_spectrum`` returns to a real tensor through ``irfft``, whose
 output is real by construction.  The t-product, the t-SVD and ``prox.tsvt``
-go through them; ``_sweep`` reads one ``_svd`` call out as all the ranks,
-norms and rank-r factors that an inspection of a tensor needs.
+go through them (``tsvt`` uses ``_svd`` only where its Gram route would lose
+accuracy); ``_sweep`` reads one ``_svd`` call out as all the ranks, norms and
+rank-r factors that an inspection of a tensor needs.
 """
 
 from __future__ import annotations
@@ -95,11 +96,13 @@ def idft3(Abar: np.ndarray) -> np.ndarray:
 def _half_spectrum(A: np.ndarray) -> np.ndarray:
     """Spectral slices 0..n3//2 of A, whose conjugates are the rest, as an (h, n1, n2) stack.
 
-    Slice 0 and, for even n3, slice n3/2 are their own conjugates, so they are real; their
-    rounding residue is dropped so that their SVD factors, null spaces included, are real too.
+    The stack is a C-contiguous copy, so the full ``dft3`` output is freed before any
+    factorization.  Slice 0 and, for even n3, slice n3/2 are their own conjugates, so they are
+    real; their rounding residue is dropped so that their SVD factors, null spaces included,
+    are real too.
     """
     n3 = A.shape[2]
-    stack = np.moveaxis(dft3(A)[:, :, : n3 // 2 + 1], 2, 0)
+    stack = np.moveaxis(dft3(A)[:, :, : n3 // 2 + 1], 2, 0).copy()
     stack.imag[[0, n3 // 2] if n3 % 2 == 0 else [0]] = 0.0
     return stack
 

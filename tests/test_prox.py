@@ -68,7 +68,10 @@ class TestTsvt:
 
     def test_failed_svd_retried_on_conjugate_transpose(self, rng, monkeypatch):
         Y = random_tensor(rng, 6, 4, 5)
-        expected = tsvt(Y, 0.8)
+        # the spectral slices have Frobenius norms 9.3-11.1, above GRAM_RATIO * tau,
+        # so the SVD branch runs
+        tau = 0.05
+        expected = tsvt(Y, tau)
         svd = np.linalg.svd
         calls = []
 
@@ -79,9 +82,40 @@ class TestTsvt:
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", svd_failing_once)
-        out = tsvt(Y, 0.8)
+        out = tsvt(Y, tau)
         assert calls == [(3, 6, 4), (3, 4, 6)]
         assert np.allclose(out, expected, rtol=0, atol=1e-12)
+
+    def test_failed_eigh_falls_back_to_svd(self, rng, monkeypatch):
+        Y = random_tensor(rng, 6, 4, 5)
+        expected = tsvt(Y, 0.8)
+        eigh, svd = np.linalg.eigh, np.linalg.svd
+        calls = []
+
+        def eigh_failing_once(*args, **kwargs):
+            calls.append("eigh")
+            if calls.count("eigh") == 1:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(*args, **kwargs)
+
+        def counting_svd(*args, **kwargs):
+            calls.append("svd")
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_failing_once)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        out = tsvt(Y, 0.8)
+        assert calls == ["eigh", "svd"]
+        assert np.allclose(out, expected, rtol=0, atol=1e-12)
+
+    def test_raises_when_both_factorizations_fail(self, rng, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        with pytest.raises(np.linalg.LinAlgError):
+            tsvt(random_tensor(rng, 4, 3, 3), 0.8)
 
     def test_rejects_nonpositive_tau(self, rng):
         with pytest.raises(ValueError):
@@ -109,6 +143,90 @@ class TestTsvt:
         L = tsvt(Y, 0.2)
         assert L.dtype == np.float64
         assert np.isfinite(L).all()
+
+
+def svt_reference(Y, tau):
+    """Matrix SVT of every slice of the full spectrum, one SVD per slice."""
+    Ybar = np.fft.fft(Y, axis=2)
+    out = np.empty_like(Ybar)
+    for k in range(Y.shape[2]):
+        U, s, Vh = np.linalg.svd(Ybar[:, :, k], full_matrices=False)
+        out[:, :, k] = (U * np.maximum(s - tau, 0.0)) @ Vh
+    return np.fft.ifft(out, axis=2).real
+
+
+def tensor_with_spectrum(rng, n1, n2, n3, svals):
+    """Real tensor whose spectral slice k has singular values ``svals(k)`` for
+    k <= n3 // 2; the other slices are their conjugates."""
+    p = min(n1, n2)
+    half = np.empty((n1, n2, n3 // 2 + 1), dtype=complex)
+    for k in range(half.shape[2]):
+        cplx = 0.0 if k == 0 or 2 * k == n3 else 1.0  # slices 0 and n3/2 are real
+
+        def basis(n):
+            return np.linalg.qr(rng.normal(size=(n, p)) + cplx * 1j * rng.normal(size=(n, p)))[0]
+
+        half[:, :, k] = (basis(n1) * svals(k)) @ basis(n2).conj().T
+    return np.fft.irfft(half, n=n3, axis=2)
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Names of the batched factorizations called, in order."""
+    calls = []
+    for name in ("svd", "eigh"):
+        def counting(*args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+class TestTsvtAccuracy:
+    """tsvt against the per-slice SVD reference, to 1e-12 of ||Y||_F (the prox is
+    nonexpansive, so errors scale with the input)."""
+
+    @staticmethod
+    def assert_matches(Y, tau, route, factorizations):
+        factorizations.clear()
+        out = tsvt(Y, tau)
+        assert factorizations == [route]
+        assert tc.norm_fro(out - svt_reference(Y, tau)) <= 1e-12 * tc.norm_fro(Y)
+
+    @pytest.mark.parametrize(
+        "shape", [(8, 5, 4), (5, 8, 4), (7, 5, 1), (6, 6, 7), (5, 6, 6)],
+        ids=["tall", "wide", "n3_one", "odd_n3", "even_n3"],
+    )
+    def test_random_shapes_take_gram_route(self, rng, factorizations, shape):
+        self.assert_matches(random_tensor(rng, *shape), 1.0, "eigh", factorizations)
+
+    @pytest.mark.parametrize("shape", [(7, 5, 6), (5, 7, 5)], ids=["tall", "wide"])
+    def test_spectrum_clustered_at_tau(self, rng, factorizations, shape):
+        tau = 0.3
+        Y = tensor_with_spectrum(
+            rng, *shape, lambda k: tau * (1 + 1e-6 * rng.uniform(-1, 1, min(shape[:2])))
+        )
+        self.assert_matches(Y, tau, "eigh", factorizations)
+
+    @pytest.mark.parametrize("shape", [(7, 5, 6), (5, 7, 1)], ids=["even_n3", "n3_one"])
+    def test_largest_ratio_under_guard(self, rng, factorizations, shape):
+        # sigma_1 = 99 tau with the rest clustered at tau: ||Y_k||_F is just under 100 tau
+        tau = 2.0
+        p = min(shape[:2])
+        Y = tensor_with_spectrum(
+            rng, *shape, lambda k: tau * np.r_[99.0, 1 + 1e-6 * rng.uniform(-1, 1, p - 1)]
+        )
+        assert np.linalg.norm(ta._half_spectrum(Y), axis=(1, 2)).max() <= 100 * tau
+        self.assert_matches(Y, tau, "eigh", factorizations)
+
+    def test_large_ratio_takes_svd(self, rng, factorizations):
+        # sigma_1 / tau = 1e6 would cost the Gram route about 1e-5 tau of accuracy
+        tau = 1e-3
+        Y = tensor_with_spectrum(
+            rng, 6, 5, 4, lambda k: tau * np.r_[1e6, 1 + 1e-6 * rng.uniform(-1, 1, 4)]
+        )
+        self.assert_matches(Y, tau, "svd", factorizations)
 
 
 class TestSoftThreshold:

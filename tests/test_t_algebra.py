@@ -324,20 +324,36 @@ class TestSkinnyTsvd:
 
 class TestSpectralLayer:
     def test_one_svd_call_per_sweep(self, rng, monkeypatch):
-        svd = np.linalg.svd
+        svd, eigh = np.linalg.svd, np.linalg.eigh
         calls = []
 
         def counting_svd(*args, **kwargs):
-            calls.append(args[0].shape)
+            calls.append(("svd", args[0].shape))
             return svd(*args, **kwargs)
 
+        def counting_eigh(*args, **kwargs):
+            calls.append(("eigh", args[0].shape))
+            return eigh(*args, **kwargs)
+
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         A = random_tensor(rng, 5, 4, 6)
-        for sweep in (lambda: tsvt(A, 0.5), lambda: ta.tsvd(A), lambda: ta.multi_rank(A)):
+        tsvt(A, 0.5)
+        # one factorization of the whole half spectrum: the 4x4 Gram matrices of
+        # slices 0..3 of 6, or the slices themselves, never both
+        assert calls in ([("eigh", (4, 4, 4))], [("svd", (4, 5, 4))])
+        for sweep in (lambda: ta.tsvd(A), lambda: ta.multi_rank(A)):
             calls.clear()
             sweep()
             # the whole half spectrum, slices 0..3 of 6, in a single call
-            assert calls == [(4, 5, 4)]
+            assert calls == [("svd", (4, 5, 4))]
+
+    @pytest.mark.parametrize("n3", [1, 4, 5])
+    def test_half_spectrum_owns_its_data(self, rng, n3):
+        # a view would keep the whole n3-slice dft3 output alive
+        stack = ta._half_spectrum(random_tensor(rng, 3, 2, n3))
+        assert stack.shape == (n3 // 2 + 1, 3, 2)
+        assert stack.base is None and stack.flags.c_contiguous
 
     def test_failed_singular_value_sweep_is_retried(self, rng, monkeypatch):
         A = random_tensor(rng, 5, 3, 4)
