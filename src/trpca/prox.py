@@ -2,11 +2,12 @@
 
 ``tsvt`` is the prox of the tensor nuclear norm: per-spectral-slice singular
 value shrinkage over the half spectrum of the ``t_algebra`` helpers.  It
-takes the shrinkage of every slice from one batched Hermitian
+takes the shrinkage of every slice from a batched Hermitian
 eigendecomposition of the slices' Gram matrices (Cai & Osher, "Fast singular
 value thresholding without singular value decomposition", 2013), and from
-one batched SVD when squaring the slices would lose accuracy (see
-``GRAM_RATIO``).  ``soft_threshold`` is the prox of the elementwise l1 norm.
+a batched SVD when squaring the slices would lose accuracy (see
+``GRAM_RATIO``); above ``t_algebra.PARALLEL_FLOOR`` each batch is one chunk
+of the slices per core.  ``soft_threshold`` is the prox of the elementwise l1 norm.
 
 Under the unnormalized-forward / 1/n3-inverse DFT convention, the per-slice
 shrinkage threshold equals tau itself: the 1/n3 in the nuclear norm
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .t_algebra import _from_half_spectrum, _half_spectrum, _svd
+from .t_algebra import _chunks, _from_half_spectrum, _half_spectrum, _map, _svd
 from .tensor_core import as_tensor
 
 __all__ = ["tsvt", "soft_threshold"]
@@ -43,7 +44,9 @@ def tsvt(Y: np.ndarray, tau: float) -> np.ndarray:
     or when that eigendecomposition fails, through the SVD.  Either way the
     slices are rebuilt together up to the largest rank kept in any of them;
     the shrunk singular values past a slice's own rank are zero, so this
-    equals truncating each slice separately.
+    equals truncating each slice separately.  Above the parallel layer's
+    work floor the half spectrum is factored, then rebuilt, in one chunk
+    per core; the result has the same bits at any chunking.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -54,29 +57,49 @@ def tsvt(Y: np.ndarray, tau: float) -> np.ndarray:
             return _from_half_spectrum(_gram_svt(stack, tau), Y.shape[2])
         except np.linalg.LinAlgError:
             pass  # eigh did not converge; the SVD, with its own retry, decides
-    U, s, Vh = _svd(stack)
-    del stack  # its factors replace it, so the rebuild does not hold both
-    s = np.maximum(s - tau, 0.0)
-    r = int(np.count_nonzero(s, axis=1).max())
-    return _from_half_spectrum((U[:, :, :r] * s[:, None, :r]) @ Vh[:, :r, :], Y.shape[2])
+    chunks = _chunks(stack)
+    factors = _map(lambda c: _svd(stack[c]), chunks)
+    shrunk = [np.maximum(s - tau, 0.0) for _, s, _ in factors]
+    r = max(int(np.count_nonzero(s, axis=1).max()) for s in shrunk)
+
+    def rebuild(c, usv, s):
+        U, _, Vh = usv
+        np.matmul(U[:, :, :r] * s[:, None, :r], Vh[:, :r, :], out=stack[c])
+
+    # the factors replace the stack, so the stack takes the result
+    _map(rebuild, chunks, factors, shrunk)
+    return _from_half_spectrum(stack, Y.shape[2])
 
 
 def _gram_svt(stack: np.ndarray, tau: float) -> np.ndarray:
-    """SVT of every slice from one batched eigh of the Gram matrices M^H M.
+    """SVT of every slice from a batched eigh of the Gram matrices M^H M, per chunk.
 
     M is the slice, or its conjugate transpose for a wide slice, so the Gram
     matrix is on the smaller side.  With M = U S V^H, the shrunk slice
-    U (S - tau)_+ V^H equals (M V) diag((1 - tau/s)_+) V^H.
+    U (S - tau)_+ V^H equals (M V) diag((1 - tau/s)_+) V^H.  A tall stack is
+    overwritten with the result.
     """
     wide = stack.shape[1] < stack.shape[2]
     M = stack.conj().swapaxes(1, 2) if wide else stack
-    lam, V = np.linalg.eigh(M.conj().swapaxes(1, 2) @ M)
+    G = np.empty((M.shape[0], M.shape[2], M.shape[2]), dtype=M.dtype)
+
+    def factor(c):
+        return np.linalg.eigh(np.matmul(M[c].conj().swapaxes(1, 2), M[c], out=G[c]))
+
+    chunks = _chunks(stack)
+    eig = _map(factor, chunks)
+    del G  # each eigh returns its own V
     # eigenvalues ascend, so the kept ones are the last columns of V
-    s = np.sqrt(np.maximum(lam, 0.0))
-    r = int(np.count_nonzero(s > tau, axis=1).max())
-    V, s = V[:, :, V.shape[2] - r :], s[:, s.shape[1] - r :]
-    w = 1.0 - tau / np.maximum(s, tau)
-    out = ((M @ V) * w[:, None, :]) @ V.conj().swapaxes(1, 2)
+    roots = [np.sqrt(np.maximum(lam, 0.0)) for lam, _ in eig]
+    r = max(int(np.count_nonzero(s > tau, axis=1).max()) for s in roots)
+    first = M.shape[2] - r
+    out = np.empty(M.shape, dtype=M.dtype) if wide else stack
+
+    def rebuild(c, e, s):
+        V, w = e[1][:, :, first:], 1.0 - tau / np.maximum(s[:, first:], tau)
+        np.matmul((M[c] @ V) * w[:, None, :], V.conj().swapaxes(1, 2), out=out[c])
+
+    _map(rebuild, chunks, eig, roots)
     return out.conj().swapaxes(1, 2) if wide else out
 
 

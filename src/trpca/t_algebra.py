@@ -16,11 +16,21 @@ output is real by construction.  The t-product, the t-SVD and ``prox.tsvt``
 go through them (``tsvt`` uses ``_svd`` only where its Gram route would lose
 accuracy); ``_sweep`` reads one ``_svd`` call out as all the ranks, norms and
 rank-r factors that an inspection of a tensor needs.
+
+Above a work floor, ``PARALLEL_FLOOR``, every batched factorization runs with
+OpenBLAS pinned to one thread, and ``prox.tsvt`` splits its stack into one
+chunk per core through ``_chunks`` and ``_map``; below it, each stack goes to
+LAPACK in one call as before.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import threading
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -72,7 +82,8 @@ class TSvd:
 
 def dft3(A: np.ndarray) -> np.ndarray:
     """Forward DFT of every tube, returning the complex spectral tensor."""
-    return np.fft.fft(np.asarray(A, dtype=np.float64), axis=2)
+    C = np.asarray(A, dtype=np.float64).astype(np.complex128)
+    return np.fft.fft(C, axis=2, out=C)
 
 
 def idft3(Abar: np.ndarray) -> np.ndarray:
@@ -119,16 +130,140 @@ def _svd(stack: np.ndarray, compute_uv: bool = True):
     LAPACK's divide-and-conquer SVD (gesdd) occasionally fails to converge on a
     finite matrix that its conjugate transpose factors fine, so a failure is
     retried once on the conjugate transposes with the factors swapped back.
+    Above ``PARALLEL_FLOOR`` the call runs on one BLAS thread.
     """
-    try:
-        out = np.linalg.svd(stack, full_matrices=False, compute_uv=compute_uv)
-    except np.linalg.LinAlgError:
-        H = stack.conj().swapaxes(-1, -2)
-        out = np.linalg.svd(H, full_matrices=False, compute_uv=compute_uv)
-        if compute_uv:
-            U, s, Vh = out
-            out = Vh.conj().swapaxes(-1, -2), s, U.conj().swapaxes(-1, -2)
+    with _one_blas_thread() if _above_floor(stack) else nullcontext():
+        try:
+            out = np.linalg.svd(stack, full_matrices=False, compute_uv=compute_uv)
+        except np.linalg.LinAlgError:
+            H = stack.conj().swapaxes(-1, -2)
+            out = np.linalg.svd(H, full_matrices=False, compute_uv=compute_uv)
+            if compute_uv:
+                U, s, Vh = out
+                out = Vh.conj().swapaxes(-1, -2), s, U.conj().swapaxes(-1, -2)
     return out if compute_uv else (None, out, None)
+
+
+# Parallel layer.  OpenBLAS splits each small LAPACK call of a batch over its
+# own threads, which is slower than one thread.  numpy's linalg and matmul
+# release the GIL, so the slices of a stack are instead factored in contiguous
+# chunks, one per core, each on the calling or a pool thread with OpenBLAS
+# pinned to one thread.  Per matrix the result has the same bits at any
+# chunking and any OPENBLAS_NUM_THREADS.
+#
+# The work of a call on an (h, n1, n2) stack is h * min(n1, n2)^2 * max(n1, n2).
+# Below PARALLEL_FLOOR the stack goes to LAPACK in one call, with no pin and no
+# split.  Crossover, median ms per ADMM iteration of synth.run_trial on n x n x n3
+# (12 solves a side, alternating in one process; 2-vCPU Xeon, OpenBLAS 0.3.31),
+# one call -> pinned and split: 40x40x10 (work 384000) 3.06 -> 3.27, 64x64x3
+# (524288) 2.63 -> 2.92, 50x50x6 (500000) 3.43 -> 3.16, 40x40x20 (704000)
+# 5.46 -> 4.70, 48x48x12 (774144) 5.03 -> 4.94, 100x100x4 (3000000) 11.5 -> 7.97.
+# A lone tsvt at 12x12x3 takes 0.23 -> 0.48 ms.
+PARALLEL_FLOOR = 600_000
+
+# worker threads besides the calling one; the pool is made on first use
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+) - 1
+_pool = None
+_lock = threading.Lock()  # guards the pool and the pin below
+_blas = None  # (get, set) thread count of numpy's OpenBLAS, () when absent
+_pin_depth = 0
+_pin_saved = 0
+
+
+def _above_floor(stack: np.ndarray) -> bool:
+    h, n1, n2 = stack.shape
+    return h * min(n1, n2) ** 2 * max(n1, n2) >= PARALLEL_FLOOR
+
+
+def _openblas():
+    """OpenBLAS's thread-count getter and setter in numpy's bundled library, or ()."""
+    global _blas
+    if _blas is None:
+        found = ()
+        for path in Path(np.__file__).parents[1].glob("numpy.libs/libscipy_openblas64_*.so"):
+            try:
+                lib = ctypes.CDLL(str(path))
+                get = lib.scipy_openblas_get_num_threads64_
+                set_ = lib.scipy_openblas_set_num_threads64_
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            found = (get, set_)
+            break
+        _blas = found
+    return _blas
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with OpenBLAS on one thread, restoring its count when the
+    last of any nested or concurrent callers leaves.  A no-op without OpenBLAS."""
+    global _pin_depth, _pin_saved
+    with _lock:
+        blas = _openblas()
+        if blas and _pin_depth == 0:
+            _pin_saved = blas[0]()
+            blas[1](1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _lock:
+            _pin_depth -= 1
+            if blas and _pin_depth == 0:
+                blas[1](_pin_saved)
+
+
+def _chunks(stack: np.ndarray) -> list[slice]:
+    """Contiguous slices of the stack's leading axis, one per core, or the whole axis in one
+    slice below ``PARALLEL_FLOOR``."""
+    h = stack.shape[0]
+    k = min(_WORKERS + 1, h) if _above_floor(stack) else 1
+    return [slice(h * i // k, h * (i + 1) // k) for i in range(k)]
+
+
+def _map(fn, chunks: list[slice], *args) -> list:
+    """``list(map(fn, chunks, *args))``, the calls side by side on one BLAS thread.
+
+    The first call runs on the calling thread and the rest on the pool.  Every call
+    has finished before this returns or raises, so none is still running when the pin
+    is lifted or the caller falls back.  A single chunk is one plain call.
+    """
+    calls = list(zip(chunks, *args))
+    if len(calls) == 1:
+        return [fn(*calls[0])]
+    from concurrent.futures import wait
+
+    with _one_blas_thread():
+        futures = [_executor().submit(fn, *call) for call in calls[1:]]
+        try:
+            first = fn(*calls[0])
+        finally:
+            wait(futures)
+        return [first] + [f.result() for f in futures]
+
+
+def _executor():
+    # concurrent.futures, which imports logging, would add about 6 ms to importing trpca
+    from concurrent.futures import ThreadPoolExecutor
+
+    global _pool
+    with _lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(_WORKERS, 1), thread_name_prefix="trpca")
+        return _pool
+
+
+def _reset_after_fork() -> None:
+    # a forked child has none of the parent's threads: it must make its own pool
+    global _pool, _lock
+    _pool, _lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_after_fork)
 
 
 def bcirc(A: np.ndarray) -> np.ndarray:

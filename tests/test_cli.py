@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,9 @@ import pytest
 from trpca import imaging, t_algebra, tensor_core
 from trpca.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_NUMERICAL, EXIT_OK, main
 from trpca.solver import incoherence_report
-from trpca.synth import gen_low_rank, gen_sparse_uniform
+from trpca.synth import TrialSpec, gen_low_rank, gen_sparse_uniform, make_instance
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
@@ -212,6 +217,33 @@ class TestSolveCommand:
             ]
         )
         assert "lambda: 0.25" in capsys.readouterr().out
+
+
+    def test_outputs_independent_of_blas_threads(self, tmp_path):
+        if not t_algebra._openblas():
+            pytest.skip("numpy's bundled OpenBLAS thread-count functions are not available")
+        spec = TrialSpec(
+            dims=tensor_core.TensorDims(100, 100, 4),
+            r=10,
+            sparsity_model="uniform_m",
+            sparsity_param=4000,
+            seed=7,
+        )
+        L0, E0 = make_instance(spec)
+        x_path = tmp_path / "x.tns3"
+        tensor_core.save_tensor(x_path, L0 + E0)
+        outputs = []
+        for threads in ("1", "2"):
+            l_path, e_path = tmp_path / f"L{threads}.tns3", tmp_path / f"E{threads}.tns3"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+            subprocess.run(
+                [sys.executable, "-c", "import sys; from trpca.cli import main; sys.exit(main())",
+                 "solve", str(x_path), "--out-L", str(l_path), "--out-E", str(e_path)],
+                env=env, check=True, stdout=subprocess.DEVNULL, timeout=300,
+            )
+            outputs.append((l_path.read_bytes(), e_path.read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestTable1Command:

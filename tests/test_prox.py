@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -271,3 +274,119 @@ class TestSoftThreshold:
                 D *= radius / tc.norm_fro(D)
                 val = tau * tc.norm_l1(E + D) + 0.5 * tc.norm_fro(E + D - Y) ** 2
                 assert val > base
+
+
+@pytest.fixture
+def blas_threads():
+    """Getter of OpenBLAS's thread count, skipping the test without it."""
+    blas = ta._openblas()
+    if not blas:
+        pytest.skip("numpy's bundled OpenBLAS thread-count functions are not available")
+    return blas[0]
+
+
+class TestParallelLayer:
+    """Above the work floor ``tsvt`` factors and rebuilds in one chunk per core."""
+
+    @staticmethod
+    def factorizations(monkeypatch):
+        """(name, leading extent) of each batched factorization, in any thread."""
+        calls = []
+        for name in ("svd", "eigh"):
+            def counting(a, *args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append((_name, a.shape[0]))
+                return _f(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "shape", [(80, 50, 7), (80, 50, 8), (50, 80, 7), (50, 80, 8)],
+        ids=["tall_odd_n3", "tall_even_n3", "wide_odd_n3", "wide_even_n3"],
+    )
+    @pytest.mark.parametrize("top, route", [(50.0, "eigh"), (1e4, "svd")], ids=["gram", "svd"])
+    def test_chunking_changes_no_bit(self, rng, monkeypatch, shape, top, route):
+        # slice k keeps k + 2 singular values above tau = 1, so each chunk has its own
+        # largest rank; sigma_1 = top picks the route through ||Y_k||_F / tau
+        p = min(shape[:2])
+        Y = tensor_with_spectrum(
+            rng, *shape, lambda k: np.r_[top, np.full(k + 1, 2.0), np.full(p - k - 2, 0.5)]
+        )
+        stack = ta._half_spectrum(Y)
+        assert ta._above_floor(stack)
+        calls = self.factorizations(monkeypatch)
+        outs = []
+        for workers in (0, 1, 2):
+            monkeypatch.setattr(ta, "_WORKERS", workers)
+            chunks = ta._chunks(stack)
+            assert len(chunks) == workers + 1
+            assert chunks[0].start == 0 and chunks[-1].stop == stack.shape[0]
+            assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+            calls.clear()
+            outs.append(tsvt(Y, 1.0))
+            assert sorted(calls) == sorted((route, c.stop - c.start) for c in chunks)
+        assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
+
+    def test_failed_chunk_falls_back_and_restores_pin(self, rng, monkeypatch, blas_threads):
+        Y = random_tensor(rng, 80, 50, 8)
+        tau = np.linalg.norm(ta._half_spectrum(Y), axis=(1, 2)).max() / 10
+        monkeypatch.setattr(ta, "_WORKERS", 1)
+        expected = tsvt(Y, tau)
+        before = blas_threads()
+        eigh = np.linalg.eigh
+
+        def eigh_failing_off_main(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_failing_off_main)
+        out = tsvt(Y, tau)
+        assert blas_threads() == before
+        assert np.allclose(out, expected, rtol=0, atol=1e-12)
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        with pytest.raises(np.linalg.LinAlgError):
+            tsvt(Y, tau)
+        assert blas_threads() == before
+
+    def test_absent_openblas_gives_same_bits(self, rng, monkeypatch, blas_threads):
+        Y = random_tensor(rng, 80, 50, 8)
+        tau = np.linalg.norm(ta._half_spectrum(Y), axis=(1, 2)).max() / 10
+        monkeypatch.setattr(ta, "_WORKERS", 1)
+        pinned = tsvt(Y, tau)
+        # without the setter the chunks still split; OpenBLAS runs calls this small on one thread
+        monkeypatch.setattr(ta, "_blas", ())
+        assert np.array_equal(tsvt(Y, tau), pinned)
+
+    def test_nested_and_concurrent_pins_restore_once(self, blas_threads):
+        before = blas_threads()
+        with ta._one_blas_thread():
+            with ta._one_blas_thread():
+                assert blas_threads() == 1
+            assert blas_threads() == 1
+        assert blas_threads() == before
+
+        seen = []
+
+        def pin_repeatedly():
+            for _ in range(200):
+                with ta._one_blas_thread():
+                    seen.append(blas_threads())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=pin_repeatedly) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == [1] * 1600
+        assert blas_threads() == before
