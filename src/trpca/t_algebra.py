@@ -17,10 +17,10 @@ go through them (``tsvt`` uses ``_svd`` only where its Gram route would lose
 accuracy); ``_sweep`` reads one ``_svd`` call out as all the ranks, norms and
 rank-r factors that an inspection of a tensor needs.
 
-Above a work floor, ``PARALLEL_FLOOR``, every batched factorization runs with
-OpenBLAS pinned to one thread, and ``prox.tsvt`` splits its stack into one
-chunk per core through ``_chunks`` and ``_map``; below it, each stack goes to
-LAPACK in one call as before.
+Every batched factorization runs with OpenBLAS pinned to one thread, and
+above a work floor, ``PARALLEL_FLOOR``, ``prox.tsvt`` splits its stack into
+one chunk per core through ``_chunks`` and ``_map``; below it, each stack goes
+to LAPACK in one call as before.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import ctypes
 import os
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -130,9 +130,9 @@ def _svd(stack: np.ndarray, compute_uv: bool = True):
     LAPACK's divide-and-conquer SVD (gesdd) occasionally fails to converge on a
     finite matrix that its conjugate transpose factors fine, so a failure is
     retried once on the conjugate transposes with the factors swapped back.
-    Above ``PARALLEL_FLOOR`` the call runs on one BLAS thread.
+    The call runs on one BLAS thread.
     """
-    with _one_blas_thread() if _above_floor(stack) else nullcontext():
+    with _one_blas_thread():
         try:
             out = np.linalg.svd(stack, full_matrices=False, compute_uv=compute_uv)
         except np.linalg.LinAlgError:
@@ -146,19 +146,23 @@ def _svd(stack: np.ndarray, compute_uv: bool = True):
 
 # Parallel layer.  OpenBLAS splits each small LAPACK call of a batch over its
 # own threads, which is slower than one thread.  numpy's linalg and matmul
-# release the GIL, so the slices of a stack are instead factored in contiguous
-# chunks, one per core, each on the calling or a pool thread with OpenBLAS
-# pinned to one thread.  Per matrix the result has the same bits at any
-# chunking and any OPENBLAS_NUM_THREADS.
+# release the GIL, so every factorization runs with OpenBLAS pinned to one
+# thread, and the slices of a large stack are factored in contiguous chunks, one
+# per core, each on the calling or a pool thread.  Per matrix the result has the
+# same bits at any chunking and any OPENBLAS_NUM_THREADS.  Without the pin there
+# is no split, since each chunk would then start its own BLAS threads.
 #
 # The work of a call on an (h, n1, n2) stack is h * min(n1, n2)^2 * max(n1, n2).
-# Below PARALLEL_FLOOR the stack goes to LAPACK in one call, with no pin and no
-# split.  Crossover, median ms per ADMM iteration of synth.run_trial on n x n x n3
-# (12 solves a side, alternating in one process; 2-vCPU Xeon, OpenBLAS 0.3.31),
-# one call -> pinned and split: 40x40x10 (work 384000) 3.06 -> 3.27, 64x64x3
-# (524288) 2.63 -> 2.92, 50x50x6 (500000) 3.43 -> 3.16, 40x40x20 (704000)
-# 5.46 -> 4.70, 48x48x12 (774144) 5.03 -> 4.94, 100x100x4 (3000000) 11.5 -> 7.97.
-# A lone tsvt at 12x12x3 takes 0.23 -> 0.48 ms.
+# Below PARALLEL_FLOOR the stack goes to LAPACK in one call.  Median ms per ADMM
+# iteration of synth.run_trial on n x n x n3 (12 solves a mode, alternating in
+# one process; 2-vCPU Xeon, OpenBLAS 0.3.31), one unpinned call (OpenBLAS's
+# default of 2 threads) / one pinned call / pinned and split: 16x16x4 (work
+# 12288) 0.49 / 0.49 / 0.72, 24x24x6 (55296) 1.08 / 1.08 / 1.30, 40x40x10
+# (384000) 2.63 / 2.66 / 3.12, 50x50x6 (500000) 2.82 / 2.63 / 2.65, 64x64x3
+# (524288) 2.55 / 2.28 / 2.40, 40x40x20 (704000) 4.76 / 5.35 / 4.20, 48x48x12
+# (774144) 5.37 / 4.73 / 4.35, 64x64x6 (1048576) 5.44 / 4.95 / 4.24, 100x100x4
+# (3000000) 11.8 / 9.84 / 7.85.  So below the floor the pin alone is as fast or
+# faster, and the split pays from about 600000 on.
 PARALLEL_FLOOR = 600_000
 
 # worker threads besides the calling one; the pool is made on first use
@@ -178,7 +182,10 @@ def _above_floor(stack: np.ndarray) -> bool:
 
 
 def _openblas():
-    """OpenBLAS's thread-count getter and setter in numpy's bundled library, or ()."""
+    """OpenBLAS's thread-count getter and setter in numpy's bundled library, or ().
+
+    Resolving it twice finds the same pair, so callers need not hold the lock.
+    """
     global _blas
     if _blas is None:
         found = ()
@@ -219,9 +226,9 @@ def _one_blas_thread():
 
 def _chunks(stack: np.ndarray) -> list[slice]:
     """Contiguous slices of the stack's leading axis, one per core, or the whole axis in one
-    slice below ``PARALLEL_FLOOR``."""
+    slice below ``PARALLEL_FLOOR`` or when OpenBLAS cannot be pinned."""
     h = stack.shape[0]
-    k = min(_WORKERS + 1, h) if _above_floor(stack) else 1
+    k = min(_WORKERS + 1, h) if _above_floor(stack) and _openblas() else 1
     return [slice(h * i // k, h * (i + 1) // k) for i in range(k)]
 
 
@@ -230,14 +237,14 @@ def _map(fn, chunks: list[slice], *args) -> list:
 
     The first call runs on the calling thread and the rest on the pool.  Every call
     has finished before this returns or raises, so none is still running when the pin
-    is lifted or the caller falls back.  A single chunk is one plain call.
+    is lifted or the caller falls back.  A single chunk runs on the calling thread alone.
     """
     calls = list(zip(chunks, *args))
-    if len(calls) == 1:
-        return [fn(*calls[0])]
-    from concurrent.futures import wait
-
     with _one_blas_thread():
+        if len(calls) == 1:
+            return [fn(*calls[0])]
+        from concurrent.futures import wait
+
         futures = [_executor().submit(fn, *call) for call in calls[1:]]
         try:
             first = fn(*calls[0])
@@ -263,7 +270,8 @@ def _reset_after_fork() -> None:
     _pool, _lock = None, threading.Lock()
 
 
-os.register_at_fork(after_in_child=_reset_after_fork)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_after_fork)
 
 
 def bcirc(A: np.ndarray) -> np.ndarray:

@@ -305,6 +305,7 @@ class TestParallelLayer:
         ids=["tall_odd_n3", "tall_even_n3", "wide_odd_n3", "wide_even_n3"],
     )
     @pytest.mark.parametrize("top, route", [(50.0, "eigh"), (1e4, "svd")], ids=["gram", "svd"])
+    @pytest.mark.usefixtures("blas_threads")  # without the pin there is no split
     def test_chunking_changes_no_bit(self, rng, monkeypatch, shape, top, route):
         # slice k keeps k + 2 singular values above tau = 1, so each chunk has its own
         # largest rank; sigma_1 = top picks the route through ||Y_k||_F / tau
@@ -358,7 +359,7 @@ class TestParallelLayer:
         tau = np.linalg.norm(ta._half_spectrum(Y), axis=(1, 2)).max() / 10
         monkeypatch.setattr(ta, "_WORKERS", 1)
         pinned = tsvt(Y, tau)
-        # without the setter the chunks still split; OpenBLAS runs calls this small on one thread
+        # without the setter the stack goes to LAPACK in one call
         monkeypatch.setattr(ta, "_blas", ())
         assert np.array_equal(tsvt(Y, tau), pinned)
 
