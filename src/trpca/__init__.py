@@ -23,7 +23,6 @@ from .t_algebra import (
     dft3,
     fold,
     identity_tensor,
-    idft3,
     is_orthogonal,
     multi_rank,
     spectral_norm,

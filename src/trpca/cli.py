@@ -47,8 +47,6 @@ def _build_config(args) -> SolverConfig:
         except (OSError, ValueError) as exc:
             raise InputError(f"cannot read config {args.config}: {exc}") from exc
     if getattr(args, "lam", None) is not None:
-        if args.lam <= 0:
-            raise InputError("--lambda must be positive")
         config = dataclasses.replace(config, lam=args.lam)
     return config
 
@@ -56,13 +54,14 @@ def _build_config(args) -> SolverConfig:
 def cmd_tsvd(args) -> int:
     A = _load_tensor(args.input)
     mr, tnn, spectral_norm, U, Vh = t_algebra._sweep(A, args.tol, factors=True)
+    rank = int(mr.max())
     report = {
         "dims": list(A.shape),
         "multi_rank": [int(r) for r in mr],
-        "tubal_rank": int(mr.max()),
+        "tubal_rank": rank,
         "tnn": tnn,
         "spectral_norm": spectral_norm,
-        "incoherence": dataclasses.asdict(_incoherence(U, Vh, A.shape[2])) if np.any(A) else None,
+        "incoherence": dataclasses.asdict(_incoherence(U, Vh, A.shape[2])) if rank else None,
     }
     if args.json:
         print(json.dumps(report, indent=2))
@@ -74,7 +73,7 @@ def cmd_tsvd(args) -> int:
         print(f"spectral norm: {report['spectral_norm']:.12g}")
         inc = report["incoherence"]
         if inc is None:
-            print("incoherence: undefined (zero tensor)")
+            print("incoherence: undefined (tubal rank 0)")
         else:
             print(
                 f"incoherence (r={inc['r']}): mu_u={inc['mu_u']:.6g} "

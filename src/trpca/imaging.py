@@ -72,7 +72,6 @@ class DenoiseReport:
 
     psnr_trpca: float
     psnr_baseline: float | None
-    corruption_fraction: float
     solver_iterations: int
 
 
@@ -213,19 +212,16 @@ def denoise(
     L = np.clip(result.L, 0.0, 1.0)
     psnr_base = None
     if baseline:
-        psnr_base = psnr(clean, rpca_channelwise_baseline(corrupted, config))
+        psnr_base = psnr(clean, rpca_channelwise_baseline(corrupted, config or SolverConfig()))
     report = DenoiseReport(
         psnr_trpca=psnr(clean, L),
         psnr_baseline=psnr_base,
-        corruption_fraction=fraction,
         solver_iterations=result.iterations,
     )
     return report, L, result.E, mask
 
 
-def rpca_channelwise_baseline(
-    corrupted: np.ndarray, config: SolverConfig | None = None
-) -> np.ndarray:
+def rpca_channelwise_baseline(corrupted: np.ndarray, config: SolverConfig) -> np.ndarray:
     """Solve each frontal slice independently as an n3=1 problem.
 
     Uses the matrix weight 1/sqrt(max(n1, n2)) per slice and returns the
@@ -233,10 +229,7 @@ def rpca_channelwise_baseline(
     """
     corrupted = as_tensor(corrupted)
     n1, n2, n3 = corrupted.shape
-    lam = default_lambda((n1, n2, 1))
-    if config is None:
-        config = SolverConfig()
-    slice_config = replace(config, lam=lam)
+    slice_config = replace(config, lam=default_lambda((n1, n2, 1)))
     L = np.empty_like(corrupted)
     for k in range(n3):
         L[:, :, k] = solve(corrupted[:, :, k : k + 1], slice_config).L[:, :, 0]

@@ -8,7 +8,7 @@ low-rank factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,14 +51,17 @@ class SolverConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.lam is not None and self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.rho < 1:
-            raise ValueError("rho must be >= 1")
-        if self.mu0 <= 0 or self.mu_max <= 0 or self.mu0 > self.mu_max:
-            raise ValueError("need 0 < mu0 <= mu_max")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        # chained comparisons, so that NaN fails them and inf fails the upper bound
+        if self.lam is not None and not 0 < self.lam < np.inf:
+            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
+        if not 1 <= self.rho < np.inf:
+            raise ValueError(f"rho must be finite and >= 1, got {self.rho}")
+        if not 0 < self.mu0 <= self.mu_max < np.inf:
+            raise ValueError(
+                f"need finite 0 < mu0 <= mu_max, got mu0={self.mu0}, mu_max={self.mu_max}"
+            )
+        if not 0 < self.eps < np.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -75,9 +78,8 @@ class TrpcaResult:
     E: np.ndarray
     iterations: int
     converged: bool
-    residual_history: list = field(default_factory=list)
-    mu_final: float = 0.0
-    lam: float = 0.0
+    residual_history: list
+    lam: float
 
 
 def solve(X: np.ndarray, config: SolverConfig | None = None, callback=None) -> TrpcaResult:
@@ -126,7 +128,6 @@ def solve(X: np.ndarray, config: SolverConfig | None = None, callback=None) -> T
         iterations=k,
         converged=converged,
         residual_history=history,
-        mu_final=mu,
         lam=lam,
     )
 
@@ -176,7 +177,6 @@ def _incoherence(U: np.ndarray, Vh: np.ndarray, n3: int) -> IncoherenceReport:
 
 _CONFIG_FIELDS = {
     "lambda": ("lam", float),
-    "lam": ("lam", float),
     "rho": ("rho", float),
     "mu0": ("mu0", float),
     "mu_max": ("mu_max", float),

@@ -111,7 +111,6 @@ class PhaseGrid:
 
     r_fractions: list
     rho_values: list
-    trials_per_cell: int
     success_fraction: np.ndarray
 
 
@@ -222,15 +221,12 @@ def phase_grid(
     if not r_fracs or not rho_list or trials < 1:
         raise ValueError("grid axes must be non-empty and trials >= 1")
     grid = np.zeros((len(rho_list), len(r_fracs)))
-    root = np.random.SeedSequence(entropy=base_seed)
     for i, rho_s in enumerate(rho_list):
         for j, frac in enumerate(r_fracs):
             r = max(1, round(frac * d.n_min))
             successes = 0
             for t in range(trials):
-                seed = np.random.SeedSequence(
-                    entropy=root.entropy, spawn_key=(i, j, t)
-                )
+                seed = np.random.SeedSequence(entropy=base_seed, spawn_key=(i, j, t))
                 spec = TrialSpec(
                     dims=d,
                     r=r,
@@ -240,12 +236,7 @@ def phase_grid(
                 )
                 successes += run_trial(spec, config).success
             grid[i, j] = successes / trials
-    return PhaseGrid(
-        r_fractions=r_fracs,
-        rho_values=rho_list,
-        trials_per_cell=trials,
-        success_fraction=grid,
-    )
+    return PhaseGrid(r_fractions=r_fracs, rho_values=rho_list, success_fraction=grid)
 
 
 def _fmt(x) -> str:

@@ -39,7 +39,6 @@ from .tensor_core import TensorDims, as_tensor, norm_fro
 __all__ = [
     "TSvd",
     "dft3",
-    "idft3",
     "bcirc",
     "unfold",
     "fold",
@@ -84,24 +83,6 @@ def dft3(A: np.ndarray) -> np.ndarray:
     """Forward DFT of every tube, returning the complex spectral tensor."""
     C = np.asarray(A, dtype=np.float64).astype(np.complex128)
     return np.fft.fft(C, axis=2, out=C)
-
-
-def idft3(Abar: np.ndarray) -> np.ndarray:
-    """Inverse DFT of every tube; the result must come out real.
-
-    Raises ValueError when the imaginary residue exceeds ``1e-8`` times the
-    largest real entry (or 1, if larger), which indicates a spectrum that is
-    not conjugate-symmetric.
-    """
-    A = np.fft.ifft(np.asarray(Abar, dtype=np.complex128), axis=2)
-    scale = max(float(np.abs(A.real).max(initial=0.0)), 1.0)
-    residue = float(np.abs(A.imag).max(initial=0.0))
-    if residue > 1e-8 * scale:
-        raise ValueError(
-            f"imaginary residue {residue:.3e} exceeds tolerance; "
-            "spectral tensor is not conjugate-symmetric"
-        )
-    return np.ascontiguousarray(A.real)
 
 
 def _half_spectrum(A: np.ndarray) -> np.ndarray:
@@ -386,8 +367,8 @@ def _sweep(A: np.ndarray, tol: float = DEFAULT_RANK_TOL, factors: bool = False):
     Ranks count singular values above ``tol`` times the global largest one.  U and Vh are None, or
     with ``factors`` the spectral factors copied to the tubal rank to free the full stacks.
     """
-    if tol < 0:
-        raise ValueError("rank tolerance must be nonnegative")
+    if not tol >= 0:  # NaN too
+        raise ValueError(f"rank tolerance must be nonnegative, got {tol}")
     A = as_tensor(A)
     U, s, Vh = _svd(_half_spectrum(A), compute_uv=factors)
     # slice k shares its singular values with its conjugate partner n3-k

@@ -5,7 +5,3 @@ import pytest
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-def random_tensor(rng, n1, n2, n3, scale=1.0):
-    return scale * rng.normal(size=(n1, n2, n3))

@@ -125,6 +125,7 @@ class TestTsvdReportAgreement:
         "wide": (lambda: np.random.default_rng(5).normal(size=(4, 9, 4)), 1e-8),
         "nonzero_tol": (lambda: np.random.default_rng(6).normal(size=(7, 6, 6)), 0.3),
         "zero": (lambda: np.zeros((3, 4, 2)), 1e-8),
+        "tol_above_one": (lambda: np.random.default_rng(7).normal(size=(5, 4, 3)), 1.5),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -141,7 +142,7 @@ class TestTsvdReportAgreement:
         assert report["spectral_norm"] == pytest.approx(
             t_algebra.spectral_norm(A), rel=1e-12, abs=0.0
         )
-        if case == "zero":
+        if report["tubal_rank"] == 0:
             assert report["incoherence"] is None
             return
         inc = incoherence_report(A, tol)
@@ -217,6 +218,15 @@ class TestSolveCommand:
             ]
         )
         assert "lambda: 0.25" in capsys.readouterr().out
+
+    def test_non_finite_config_value_exit_2(self, tmp_path, capsys):
+        x_path = tmp_path / "x.tns3"
+        tensor_core.save_tensor(x_path, np.random.default_rng(8).normal(size=(6, 5, 4)))
+        cfg = tmp_path / "cfg"
+        cfg.write_text("eps = nan\n")
+        outs = ["--out-L", str(tmp_path / "L"), "--out-E", str(tmp_path / "E")]
+        assert main(["solve", str(x_path), "--config", str(cfg)] + outs) == EXIT_INPUT
+        assert "eps" in capsys.readouterr().err
 
 
     def test_outputs_independent_of_blas_threads(self, tmp_path):

@@ -8,7 +8,7 @@ from trpca import t_algebra as ta
 from trpca import tensor_core as tc
 from trpca.prox import soft_threshold, tsvt
 
-from conftest import random_tensor
+from random_tensors import random_tensor
 
 
 def tnn_objective(L, Y, tau):

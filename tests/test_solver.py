@@ -13,7 +13,7 @@ from trpca.solver import (
 )
 from trpca.synth import gen_low_rank, gen_sparse_uniform
 
-from conftest import random_tensor
+from random_tensors import random_tensor
 
 
 def matrix_rpca_reference(X, lam, rho=1.1, mu0=1e-3, mu_max=1e10, eps=1e-8, max_iter=500):
@@ -66,6 +66,15 @@ class TestSolverConfig:
             {"mu0": 1e20},
             {"eps": 0.0},
             {"max_iter": 0},
+            {"lam": np.nan},
+            {"lam": np.inf},
+            {"rho": np.nan},
+            {"rho": np.inf},
+            {"mu0": np.nan},
+            {"mu_max": np.nan},
+            {"mu0": np.inf, "mu_max": np.inf},
+            {"eps": np.nan},
+            {"eps": np.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -170,7 +170,6 @@ class TestCsvOutputs:
         grid = PhaseGrid(
             r_fractions=[0.1, 0.2],
             rho_values=[0.05],
-            trials_per_cell=1,
             success_fraction=np.array([[1.0, 0.5]]),
         )
         path = tmp_path / "g.csv"

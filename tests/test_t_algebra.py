@@ -5,11 +5,11 @@ from trpca import t_algebra as ta
 from trpca import tensor_core as tc
 from trpca.prox import tsvt
 
-from conftest import random_tensor
+from random_tensors import random_tensor
 
 
 def naive_dft_tube(tube):
-    """Direct O(n^2) DFT summation, the reference for dft3/idft3."""
+    """Direct O(n^2) DFT summation, the reference for dft3."""
     n = len(tube)
     out = np.zeros(n, dtype=complex)
     for f in range(n):
@@ -47,27 +47,6 @@ class TestDft:
         spec = ta.dft3(A)
         for k in range(1, 5):
             assert np.allclose(spec[:, :, k], spec[:, :, 5 - k].conj(), atol=1e-10)
-
-
-class TestIdft:
-    def test_round_trip(self, rng):
-        A = random_tensor(rng, 3, 4, 5)
-        assert np.allclose(ta.idft3(ta.dft3(A)), A, atol=1e-12)
-
-    def test_zeros(self):
-        assert np.array_equal(ta.idft3(np.zeros((2, 2, 3), dtype=complex)), np.zeros((2, 2, 3)))
-
-    def test_matches_naive_inverse(self, rng):
-        # hand-built conjugate-symmetric spectrum for n3=3
-        base = random_tensor(rng, 2, 2, 3)
-        spec = naive_dft3(base)
-        recovered = ta.idft3(spec)
-        assert np.allclose(recovered, base, atol=1e-12)
-
-    def test_rejects_asymmetric_spectrum(self, rng):
-        spec = rng.normal(size=(2, 2, 4)) + 1j * rng.normal(size=(2, 2, 4))
-        with pytest.raises(ValueError, match="conjugate-symmetric"):
-            ta.idft3(spec)
 
     def test_parseval(self, rng):
         for _ in range(10):
@@ -355,6 +334,15 @@ class TestSpectralLayer:
         assert stack.shape == (n3 // 2 + 1, 3, 2)
         assert stack.base is None and stack.flags.c_contiguous
 
+    @pytest.mark.parametrize("n3", [1, 2, 5, 6])
+    @pytest.mark.parametrize("n1, n2", [(5, 3), (3, 5)])
+    def test_half_spectrum_round_trip(self, rng, n1, n2, n3):
+        # the library's one inverse transform undoes its forward one
+        A = random_tensor(rng, n1, n2, n3)
+        B = ta._from_half_spectrum(ta._half_spectrum(A), n3)
+        assert B.shape == A.shape
+        assert np.allclose(B, A, rtol=0.0, atol=1e-12)
+
     def test_failed_singular_value_sweep_is_retried(self, rng, monkeypatch):
         A = random_tensor(rng, 5, 3, 4)
         expected = ta.tnn(A)
@@ -404,13 +392,14 @@ class TestRanks:
             M = rng.normal(size=(n, r)) @ rng.normal(size=(r, n))
             spec[:, :, k] = M
         spec[:, :, 2] = spec[:, :, 1].conj()
-        A = ta.idft3(spec)
+        A = np.fft.ifft(spec, axis=2).real
         assert np.array_equal(ta.multi_rank(A, 1e-10), ranks)
         assert ta.average_rank(A, 1e-10) == pytest.approx(np.mean(ranks))
 
     def test_negative_tol_rejected(self, rng):
-        with pytest.raises(ValueError):
-            ta.multi_rank(random_tensor(rng, 2, 2, 2), -1.0)
+        for tol in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="nonnegative"):
+                ta.multi_rank(random_tensor(rng, 2, 2, 2), tol)
 
 
 class TestNorms:

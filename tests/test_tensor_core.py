@@ -6,7 +6,7 @@ import pytest
 from trpca import tensor_core as tc
 from trpca.t_algebra import identity_tensor, tprod, ttranspose
 
-from conftest import random_tensor
+from random_tensors import random_tensor
 
 
 class TestZeros:
