@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -97,23 +98,35 @@ def cmd_solve(args) -> int:
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
+def _require_finite(args, *flags) -> None:
+    for flag in flags:
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        if not math.isfinite(value):
+            raise InputError(f"{flag} must be finite, got {value}")
+
+
 def cmd_table1(args) -> int:
+    _require_finite(args, "--r-frac", "--m-frac")
+    if args.seeds < 1:
+        raise InputError(f"--seeds must be >= 1, got {args.seeds}")
     n, n3 = args.n, args.n3
     r = max(1, round(args.r_frac * n))
     m = round(args.m_frac * n * n * n3)
     config = _build_config(args)
     print(f"seed: {args.seed}  n={n} n3={n3} r={r} m={m} seeds={args.seeds}")
-    rows = []
-    for s in range(args.seeds):
-        spec = synth.TrialSpec(
+    specs = [
+        synth.TrialSpec(
             dims=tensor_core.TensorDims(n, n, n3),
             r=r,
             sparsity_model="uniform_m",
             sparsity_param=m,
             seed=args.seed + s,
         )
-        out = synth.run_trial(spec, config)
-        rows.append((spec, out))
+        for s in range(args.seeds)
+    ]
+    # the seeds are independent solves, run side by side; rows follow in seed order
+    rows = list(zip(specs, t_algebra._map(lambda spec: synth.run_trial(spec, config), specs)))
+    for spec, out in rows:
         print(
             f"seed {spec.seed}: rank_hat={out.rank_hat} nnz_hat={out.nnz_hat} "
             f"rel_err_L={out.rel_err_L:.3e} rel_err_E={out.rel_err_E:.3e} "
@@ -137,6 +150,7 @@ def _parse_grid(text: str):
 
 
 def cmd_phase(args) -> int:
+    _require_finite(args, "--lo", "--hi")
     nr, nrho = _parse_grid(args.grid)
     config = _build_config(args)
     r_fracs = [round(v, 10) for v in np.linspace(args.lo, args.hi, nr)]

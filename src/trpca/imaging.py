@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .solver import SolverConfig, default_lambda, solve
+from .t_algebra import _map
 from .tensor_core import as_tensor
 
 __all__ = [
@@ -204,15 +205,18 @@ def denoise(
 
     Returns (DenoiseReport, L, E, mask) with L clamped to [0, 1].  With
     ``baseline=True`` the channelwise matrix solver is also run on the same
-    corrupted tensor and scored.
+    corrupted tensor and scored; its channel solves run beside the tensor solve.
     """
     clean = stack_to_tensor(stack)
     corrupted, mask = corrupt_pixels(clean, fraction, seed)
-    result = solve(corrupted, config)
-    L = np.clip(result.L, 0.0, 1.0)
-    psnr_base = None
+    config = config or SolverConfig()
+    problems = [(corrupted, config)]
     if baseline:
-        psnr_base = psnr(clean, rpca_channelwise_baseline(corrupted, config or SolverConfig()))
+        problems += _channel_problems(corrupted, config)
+    # independent solves, run side by side, the longest first
+    result, *channels = _map(solve, *zip(*problems))
+    L = np.clip(result.L, 0.0, 1.0)
+    psnr_base = psnr(clean, _stack_channels(channels)) if baseline else None
     report = DenoiseReport(
         psnr_trpca=psnr(clean, L),
         psnr_baseline=psnr_base,
@@ -225,12 +229,20 @@ def rpca_channelwise_baseline(corrupted: np.ndarray, config: SolverConfig) -> np
     """Solve each frontal slice independently as an n3=1 problem.
 
     Uses the matrix weight 1/sqrt(max(n1, n2)) per slice and returns the
-    low-rank slices reassembled into a tensor clamped to [0, 1].
+    low-rank slices reassembled into a tensor clamped to [0, 1].  The slices
+    are solved side by side.
     """
-    corrupted = as_tensor(corrupted)
+    problems = _channel_problems(as_tensor(corrupted), config)
+    return _stack_channels(_map(solve, *zip(*problems)))
+
+
+def _channel_problems(corrupted: np.ndarray, config: SolverConfig) -> list:
+    """(slice, config) of each frontal slice's n3=1 solve, with the matrix weight."""
     n1, n2, n3 = corrupted.shape
     slice_config = replace(config, lam=default_lambda((n1, n2, 1)))
-    L = np.empty_like(corrupted)
-    for k in range(n3):
-        L[:, :, k] = solve(corrupted[:, :, k : k + 1], slice_config).L[:, :, 0]
-    return np.clip(L, 0.0, 1.0)
+    return [(corrupted[:, :, k : k + 1], slice_config) for k in range(n3)]
+
+
+def _stack_channels(results) -> np.ndarray:
+    """The low-rank slices of the channel solves as one tensor clamped to [0, 1]."""
+    return np.clip(np.concatenate([r.L for r in results], axis=2), 0.0, 1.0)

@@ -5,11 +5,13 @@ All randomness comes from ``numpy.random.default_rng`` (PCG64), so a given
 seed reproduces the same tensors on any platform.  Phase-grid cells derive
 their per-trial seeds from (base_seed, cell row, cell column, trial index)
 through ``numpy``'s SeedSequence spawning, keeping trials independent and
-order-insensitive.
+order-insensitive, so the grid runs them side by side through
+``t_algebra._map``.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import time
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import SolverConfig, TrpcaResult, solve
-from .t_algebra import tprod, tubal_rank
+from .t_algebra import _map, tprod, tubal_rank
 from .tensor_core import TensorDims, norm_fro
 
 __all__ = [
@@ -157,13 +159,17 @@ def gen_sparse_bernoulli(dims, rho_s: float, seed) -> np.ndarray:
 
 
 def make_instance(spec: TrialSpec):
-    """Generate (L0, E0) for a trial; X is their sum by construction."""
+    """Generate (L0, E0) for a trial; X is their sum by construction.
+
+    The spec's SeedSequence is not advanced, so every call on a spec makes the
+    same instance.
+    """
     ss = (
         spec.seed
         if isinstance(spec.seed, np.random.SeedSequence)
         else np.random.SeedSequence(entropy=spec.seed)
     )
-    seed_l, seed_e = ss.spawn(2)
+    seed_l, seed_e = copy.copy(ss).spawn(2)
     if spec.r == 0:
         L0 = np.zeros(tuple(spec.dims))
     else:
@@ -220,22 +226,21 @@ def phase_grid(
     rho_list = list(rho_list)
     if not r_fracs or not rho_list or trials < 1:
         raise ValueError("grid axes must be non-empty and trials >= 1")
-    grid = np.zeros((len(rho_list), len(r_fracs)))
-    for i, rho_s in enumerate(rho_list):
-        for j, frac in enumerate(r_fracs):
-            r = max(1, round(frac * d.n_min))
-            successes = 0
-            for t in range(trials):
-                seed = np.random.SeedSequence(entropy=base_seed, spawn_key=(i, j, t))
-                spec = TrialSpec(
-                    dims=d,
-                    r=r,
-                    sparsity_model="bernoulli",
-                    sparsity_param=rho_s,
-                    seed=seed,
-                )
-                successes += run_trial(spec, config).success
-            grid[i, j] = successes / trials
+    specs = [
+        TrialSpec(
+            dims=d,
+            r=max(1, round(frac * d.n_min)),
+            sparsity_model="bernoulli",
+            sparsity_param=rho_s,
+            seed=np.random.SeedSequence(entropy=base_seed, spawn_key=(i, j, t)),
+        )
+        for i, rho_s in enumerate(rho_list)
+        for j, frac in enumerate(r_fracs)
+        for t in range(trials)
+    ]
+    # the trials are independent solves, run side by side
+    successes = _map(lambda spec: run_trial(spec, config).success, specs)
+    grid = np.reshape(successes, (len(rho_list), len(r_fracs), trials)).sum(axis=2) / trials
     return PhaseGrid(r_fractions=r_fracs, rho_values=rho_list, success_fraction=grid)
 
 

@@ -17,10 +17,12 @@ go through them (``tsvt`` uses ``_svd`` only where its Gram route would lose
 accuracy); ``_sweep`` reads one ``_svd`` call out as all the ranks, norms and
 rank-r factors that an inspection of a tensor needs.
 
-Every batched factorization runs with OpenBLAS pinned to one thread, and
-above a work floor, ``PARALLEL_FLOOR``, ``prox.tsvt`` splits its stack into
-one chunk per core through ``_chunks`` and ``_map``; below it, each stack goes
-to LAPACK in one call as before.
+Every batched factorization runs with OpenBLAS pinned to one thread.  One
+work-sharing map, ``_map``, runs independent calls side by side on the calling
+thread and a private pool: above a work floor, ``PARALLEL_FLOOR``,
+``prox.tsvt`` maps its stack in one chunk per core (``_chunks``), and the
+experiment harnesses map their independent solves.  Below the floor, or inside
+a mapped solve, each stack goes to LAPACK in one call.
 """
 
 from __future__ import annotations
@@ -128,10 +130,11 @@ def _svd(stack: np.ndarray, compute_uv: bool = True):
 # Parallel layer.  OpenBLAS splits each small LAPACK call of a batch over its
 # own threads, which is slower than one thread.  numpy's linalg and matmul
 # release the GIL, so every factorization runs with OpenBLAS pinned to one
-# thread, and the slices of a large stack are factored in contiguous chunks, one
-# per core, each on the calling or a pool thread.  Per matrix the result has the
-# same bits at any chunking and any OPENBLAS_NUM_THREADS.  Without the pin there
-# is no split, since each chunk would then start its own BLAS threads.
+# thread, and independent calls (the slices of a large stack in contiguous
+# chunks, or whole solves) run on the calling and the pool threads.  Per matrix
+# the result has the same bits at any chunking, any worker count and any
+# OPENBLAS_NUM_THREADS.  Without the pin there is no split, since each call
+# would then start its own BLAS threads.
 #
 # The work of a call on an (h, n1, n2) stack is h * min(n1, n2)^2 * max(n1, n2).
 # Below PARALLEL_FLOOR the stack goes to LAPACK in one call.  Median ms per ADMM
@@ -151,10 +154,12 @@ _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 ) - 1
 _pool = None
-_lock = threading.Lock()  # guards the pool and the pin below
+_idle = 0  # pool threads not claimed by a map
+_lock = threading.Lock()  # guards the pool, its idle count and the pin below
 _blas = None  # (get, set) thread count of numpy's OpenBLAS, () when absent
 _pin_depth = 0
 _pin_saved = 0
+_task = threading.local()  # .busy while this thread runs a call of a shared map
 
 
 def _above_floor(stack: np.ndarray) -> bool:
@@ -205,44 +210,97 @@ def _one_blas_thread():
                 blas[1](_pin_saved)
 
 
+def _in_task() -> bool:
+    return getattr(_task, "busy", False)
+
+
 def _chunks(stack: np.ndarray) -> list[slice]:
     """Contiguous slices of the stack's leading axis, one per core, or the whole axis in one
-    slice below ``PARALLEL_FLOOR`` or when OpenBLAS cannot be pinned."""
+    slice below ``PARALLEL_FLOOR``, when OpenBLAS cannot be pinned, or inside a map task."""
     h = stack.shape[0]
-    k = min(_WORKERS + 1, h) if _above_floor(stack) and _openblas() else 1
+    k = min(_WORKERS + 1, h) if _above_floor(stack) and _openblas() and not _in_task() else 1
     return [slice(h * i // k, h * (i + 1) // k) for i in range(k)]
 
 
-def _map(fn, chunks: list[slice], *args) -> list:
-    """``list(map(fn, chunks, *args))``, the calls side by side on one BLAS thread.
+def _map(fn, *iterables) -> list:
+    """``list(map(fn, *iterables))``, the calls shared out on one BLAS thread.
 
-    The first call runs on the calling thread and the rest on the pool.  Every call
-    has finished before this returns or raises, so none is still running when the pin
-    is lifted or the caller falls back.  A single chunk runs on the calling thread alone.
+    The calling thread runs call 0 and each pool thread idle at the start runs one more;
+    then all of them take the remaining calls from one shared iterator, so uneven calls
+    balance, and a busy pool leaves every call to the calling thread.  While a thread runs
+    a call of a map of two or more calls it is in a task: ``_chunks`` gives it one chunk
+    and its nested maps claim no pool thread.  Without the pin there is no pool thread.
+
+    Once a call raises, no further call starts; the first failed call's error is raised
+    after every started call has finished, so none is still running when the pin is lifted
+    or the caller falls back.
     """
-    calls = list(zip(chunks, *args))
-    with _one_blas_thread():
-        if len(calls) == 1:
-            return [fn(*calls[0])]
-        from concurrent.futures import wait
+    calls = list(zip(*iterables))
+    results, errors = [None] * len(calls), {}
+    take = threading.Lock()
 
-        futures = [_executor().submit(fn, *call) for call in calls[1:]]
+    def work(i):
+        busy = _in_task()
+        _task.busy = busy or len(calls) > 1
         try:
-            first = fn(*calls[0])
+            while i is not None and not errors:
+                try:
+                    results[i] = fn(*calls[i])
+                except Exception as exc:
+                    errors[i] = exc
+                with take:
+                    i = next(order, None)
         finally:
-            wait(futures)
-        return [first] + [f.result() for f in futures]
+            _task.busy = busy
+
+    def helper(i):
+        try:
+            work(i)
+        finally:
+            _release()
+
+    with _one_blas_thread():
+        wanted = min(_WORKERS, len(calls) - 1) if not _in_task() and _openblas() else 0
+        pool, k = _claim(wanted) if wanted > 0 else (None, 0)
+        # helper i starts on call i: an idle pool thread gets a call however fast this one is
+        order = iter(range(k + 1, len(calls)))
+        futures = [pool.submit(helper, i) for i in range(1, k + 1)]
+        try:
+            work(0 if calls else None)
+        finally:
+            with take:  # an interrupt of this thread stops the helpers too
+                for _ in order:
+                    pass
+            for f in futures:
+                f.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
-def _executor():
+def _claim(n: int):
+    """The pool and how many of its idle threads, at most n, are now the caller's to use.
+
+    Every submission to the pool goes through here, so a claimed thread starts its work
+    without waiting behind other work.  Each one is handed back through ``_release``.
+    """
     # concurrent.futures, which imports logging, would add about 6 ms to importing trpca
     from concurrent.futures import ThreadPoolExecutor
 
-    global _pool
+    global _pool, _idle
     with _lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(max(_WORKERS, 1), thread_name_prefix="trpca")
-        return _pool
+            _idle = max(_WORKERS, 1)
+            _pool = ThreadPoolExecutor(_idle, thread_name_prefix="trpca")
+        k = min(n, _idle)
+        _idle -= k
+        return _pool, k
+
+
+def _release() -> None:
+    global _idle
+    with _lock:
+        _idle += 1
 
 
 def _reset_after_fork() -> None:

@@ -102,7 +102,10 @@ def inner_product(A: np.ndarray, B: np.ndarray) -> float:
     """Sum over all entries of a_ijk * b_ijk."""
     if A.shape != B.shape:
         raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
-    return float(np.vdot(A, B).real)
+    from .t_algebra import _one_blas_thread
+
+    with _one_blas_thread():  # see norm_fro
+        return float(np.vdot(A, B).real)
 
 
 def norm_l1(A: np.ndarray) -> float:
@@ -114,7 +117,12 @@ def norm_inf(A: np.ndarray) -> float:
 
 
 def norm_fro(A: np.ndarray) -> float:
-    return float(np.linalg.norm(A.ravel()))
+    """Frobenius norm.  OpenBLAS splits the dot product behind it over its threads, which
+    changes the rounding, so it runs on one BLAS thread: the same bits at any thread count."""
+    from .t_algebra import _one_blas_thread
+
+    with _one_blas_thread():
+        return float(np.linalg.norm(A.ravel()))
 
 
 def basis_column(i: int, n: int, n3: int) -> np.ndarray:

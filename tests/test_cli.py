@@ -284,6 +284,86 @@ class TestTable1Command:
         assert len(lines) == 1 + 1 + 3  # comment, header, three seeds
 
 
+class TestExperimentFlagValidation:
+    def test_zero_seeds_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        args = ["table1", "--n", "8", "--n3", "2", "--seeds", "0", "--out", str(out)]
+        assert main(args) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "--seeds" in captured.err and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("table1", "--m-frac"), ("table1", "--r-frac"), ("phase", "--lo"), ("phase", "--hi")],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_float_flag_exit_2(self, tmp_path, capsys, command, flag, value):
+        args = [command, "--n", "8", "--n3", "2", flag, value, "--out", str(tmp_path / "o.csv")]
+        assert main(args) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert flag in captured.err and captured.out == ""
+
+
+class TestWorkerCountIndependence:
+    """The independent solves of ``table1``, ``phase`` and ``denoise --baseline`` give the
+    same bytes whether they run one after another or side by side."""
+
+    @staticmethod
+    def run_with_workers(monkeypatch, capsys, tmp_path, args, outputs):
+        """Bytes of each output file and the stdout lines without ``time=`` per worker count."""
+        seen = []
+        for workers in (0, 1):
+            monkeypatch.setattr(t_algebra, "_WORKERS", workers)
+            out = tmp_path / f"w{workers}"
+            out.mkdir()
+            assert main([a.replace("OUT", str(out)) for a in args]) == EXIT_OK
+            text = capsys.readouterr().out.replace(str(out), "OUT")
+            lines = [line.split(" time=")[0] for line in text.splitlines()]
+            seen.append((lines, [(out / name).read_bytes() for name in outputs]))
+        assert seen[0] == seen[1]
+
+    def test_table1(self, monkeypatch, capsys, tmp_path):
+        args = ["table1", "--n", "24", "--n3", "8", "--seeds", "3", "--seed", "2",
+                "--out", "OUT/t.csv"]
+        self.run_with_workers(monkeypatch, capsys, tmp_path, args, ["t.csv"])
+
+    def test_phase(self, monkeypatch, capsys, tmp_path):
+        args = ["phase", "--n", "14", "--n3", "4", "--grid", "3x2", "--trials", "2",
+                "--seed", "8", "--out", "OUT/p.csv"]
+        self.run_with_workers(monkeypatch, capsys, tmp_path, args, ["p.csv"])
+
+    def test_denoise_with_baseline(self, monkeypatch, capsys, tmp_path):
+        L = gen_low_rank((24, 20, 3), 2, 4)
+        L = 0.05 + 0.9 * (L - L.min()) / (L.max() - L.min())
+        img = tmp_path / "img.ppm"
+        imaging.write_netpbm(img, imaging.tensor_to_stack(L, color=True))
+        args = ["denoise", str(img), "--fraction", "0.1", "--seed", "6", "--baseline",
+                "--out-dir", "OUT"]
+        names = ["img_L.ppm", "img_E.ppm", "img_mask.ppm", "denoise_report.csv"]
+        self.run_with_workers(monkeypatch, capsys, tmp_path, args, names)
+
+
+class TestTable1BlasThreads:
+    def test_csv_independent_of_blas_threads(self, tmp_path):
+        if not t_algebra._openblas():
+            pytest.skip("numpy's bundled OpenBLAS thread-count functions are not available")
+        # 32000 entries per tensor: enough for OpenBLAS to split the norms' dot products
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+            subprocess.run(
+                [sys.executable, "-c", "import sys; from trpca.cli import main; sys.exit(main())",
+                 "table1", "--n", "40", "--n3", "20", "--seeds", "4", "--seed", "0",
+                 "--out", str(out)],
+                env=env, check=True, stdout=subprocess.DEVNULL, timeout=300,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
 class TestPhaseCommand:
     def test_grid_dims_and_determinism(self, tmp_path, capsys):
         out1 = tmp_path / "p1.csv"

@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -391,3 +392,103 @@ class TestParallelLayer:
         assert not any(t.is_alive() for t in threads)
         assert seen == [1] * 1600
         assert blas_threads() == before
+
+
+class TestWorkSharingMap:
+    """``t_algebra._map`` shares its calls between the calling thread and the pool."""
+
+    @pytest.fixture
+    def fresh_pool(self, monkeypatch):
+        """Make the map use a new pool of ``workers`` threads, shut down afterwards."""
+
+        def make(workers):
+            monkeypatch.setattr(ta, "_WORKERS", workers)
+            monkeypatch.setattr(ta, "_pool", None)
+            monkeypatch.setattr(ta, "_idle", 0)
+
+        yield make
+        if ta._pool is not None:
+            ta._pool.shutdown(wait=True)
+
+    @pytest.mark.parametrize("top, route", [(50.0, "eigh"), (1e4, "svd")], ids=["gram", "svd"])
+    def test_tsvt_in_a_task_factors_in_one_call(
+        self, rng, monkeypatch, fresh_pool, blas_threads, top, route
+    ):
+        Y = tensor_with_spectrum(rng, 80, 50, 8, lambda k: np.r_[top, np.full(49, 0.5)])
+        stack = ta._half_spectrum(Y)
+        assert ta._above_floor(stack)
+        fresh_pool(1)
+        expected = tsvt(Y, 1.0)
+        calls = TestParallelLayer.factorizations(monkeypatch)
+        outs = ta._map(lambda Y: tsvt(Y, 1.0), [Y, Y, Y])
+        assert calls == [(route, stack.shape[0])] * 3
+        assert all(np.array_equal(out, expected) for out in outs)
+
+    def test_completes_while_the_pool_is_blocked(self, fresh_pool, blas_threads):
+        fresh_pool(2)
+        release = threading.Event()
+        blocked = []
+        # a map on another thread holds every pool thread until released
+        other = threading.Thread(
+            target=lambda: blocked.append(ta._map(lambda _: release.wait(60), range(4)))
+        )
+        other.start()
+        seen = set()
+
+        def square(x):
+            seen.add(threading.get_ident())
+            return x * x
+
+        try:
+            for _ in range(500):
+                if ta._idle == 0:
+                    break
+                time.sleep(0.01)
+            assert ta._idle == 0
+            done = []
+            mine = threading.Thread(target=lambda: done.append(ta._map(square, range(6))))
+            mine.start()
+            mine.join(timeout=60)
+            assert not mine.is_alive()
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        assert done == [[0, 1, 4, 9, 16, 25]] and seen == {mine.ident}
+        assert blocked == [[True] * 4]
+        assert ta._idle == 2
+
+    def test_error_is_raised_after_every_started_call(self, fresh_pool, blas_threads):
+        fresh_pool(1)
+        before = blas_threads()
+        started, finished = threading.Event(), []
+
+        def call(k):
+            if k == 1:  # on the pool thread
+                started.wait(60)
+                raise ValueError("call 1 failed")
+            started.set()
+            time.sleep(0.2)
+            finished.append(k)
+
+        with pytest.raises(ValueError, match="call 1 failed"):
+            ta._map(call, range(4))
+        assert finished == [0]
+        assert blas_threads() == before and ta._pin_depth == 0 and ta._idle == 1
+
+    def test_every_call_runs_once_on_an_oversized_pool(self, fresh_pool):
+        fresh_pool(6)
+        runs = []
+
+        def call(k):
+            runs.append(k)
+            return 3 * k
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outs = [ta._map(call, range(500)) for _ in range(4)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert outs == [[3 * k for k in range(500)]] * 4
+        assert sorted(runs) == sorted(list(range(500)) * 4)

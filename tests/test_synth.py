@@ -178,3 +178,22 @@ class TestCsvOutputs:
         assert len(lines) == 2
         assert lines[0].split(",")[1:] == ["0.10000000000000001", "0.20000000000000001"]
         assert lines[1].split(",") == ["0.050000000000000003", "1", "0.5"]
+
+
+class TestSeedSequenceSpec:
+    def test_make_instance_leaves_the_seed_unchanged(self):
+        ss = np.random.SeedSequence(entropy=31, spawn_key=(2, 1, 0))
+        spec = TrialSpec(tc.TensorDims(12, 10, 4), 2, "bernoulli", 0.1, ss)
+        L0, E0 = make_instance(spec)
+        assert ss.n_children_spawned == 0
+        # the instance that spawning two children from the seed would make
+        seed_l, seed_e = np.random.SeedSequence(entropy=31, spawn_key=(2, 1, 0)).spawn(2)
+        assert np.array_equal(L0, gen_low_rank((12, 10, 4), 2, seed_l))
+        assert np.array_equal(E0, gen_sparse_bernoulli((12, 10, 4), 0.1, seed_e))
+
+    def test_run_trial_twice_gives_equal_outcomes(self):
+        ss = np.random.SeedSequence(entropy=5, spawn_key=(0, 0, 1))
+        spec = TrialSpec(tc.TensorDims(20, 20, 5), 3, "bernoulli", 0.1, ss)
+        a, b = run_trial(spec), run_trial(spec)
+        a.wall_time = b.wall_time = 0.0
+        assert a == b
