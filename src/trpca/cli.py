@@ -98,17 +98,24 @@ def cmd_solve(args) -> int:
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
-def _require_finite(args, *flags) -> None:
-    for flag in flags:
-        value = getattr(args, flag.lstrip("-").replace("-", "_"))
-        if not math.isfinite(value):
-            raise InputError(f"{flag} must be finite, got {value}")
+# the closed range of each numeric flag, by its dest; ``main`` checks every flag a command
+# has before the command runs, so a bad value exits 2 before anything is printed
+_FLAG_RANGES = {
+    **dict.fromkeys(["n", "n3", "seeds", "trials"], (1, math.inf)),
+    "seed": (0, math.inf),
+    **dict.fromkeys(["r_frac", "m_frac", "lo", "hi", "fraction"], (0, 1)),
+}
+
+
+def _check_flags(args) -> None:
+    for dest, (lo, hi) in _FLAG_RANGES.items():
+        value = getattr(args, dest, None)
+        if value is not None and not lo <= value <= hi:  # NaN fails too
+            allowed = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+            raise InputError(f"--{dest.replace('_', '-')} must be {allowed}, got {value}")
 
 
 def cmd_table1(args) -> int:
-    _require_finite(args, "--r-frac", "--m-frac")
-    if args.seeds < 1:
-        raise InputError(f"--seeds must be >= 1, got {args.seeds}")
     n, n3 = args.n, args.n3
     r = max(1, round(args.r_frac * n))
     m = round(args.m_frac * n * n * n3)
@@ -143,14 +150,15 @@ def cmd_table1(args) -> int:
 
 def _parse_grid(text: str):
     try:
-        nr, nrho = text.lower().split("x")
-        return int(nr), int(nrho)
+        nr, nrho = map(int, text.lower().split("x"))
     except ValueError as exc:
         raise InputError(f"bad --grid {text!r}, expected like 10x10") from exc
+    if min(nr, nrho) < 1:
+        raise InputError(f"bad --grid {text!r}, both axes must be >= 1")
+    return nr, nrho
 
 
 def cmd_phase(args) -> int:
-    _require_finite(args, "--lo", "--hi")
     nr, nrho = _parse_grid(args.grid)
     config = _build_config(args)
     r_fracs = [round(v, 10) for v in np.linspace(args.lo, args.hi, nr)]
@@ -305,6 +313,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except np.linalg.LinAlgError as exc:
         # a subclass of ValueError, so it must be caught first

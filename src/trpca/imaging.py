@@ -177,16 +177,14 @@ def corrupt_pixels(X: np.ndarray, fraction: float, seed):
     return corrupted, mask
 
 
-def psnr(reference: np.ndarray, estimate: np.ndarray, peak: float = 1.0) -> float:
-    """Peak signal-to-noise ratio in dB; infinite for identical inputs."""
+def psnr(reference: np.ndarray, estimate: np.ndarray) -> float:
+    """Peak signal-to-noise ratio in dB at peak 1.0; infinite for identical inputs."""
     if reference.shape != estimate.shape:
         raise ValueError(f"shape mismatch: {reference.shape} vs {estimate.shape}")
-    if peak <= 0:
-        raise ValueError("peak must be positive")
     mse = float(np.mean((np.asarray(reference, float) - np.asarray(estimate, float)) ** 2))
     if mse == 0.0:
         return PSNR_INFINITE
-    return 10.0 * math.log10(peak**2 / mse)
+    return 10.0 * math.log10(1.0 / mse)
 
 
 # ---------------------------------------------------------------------------

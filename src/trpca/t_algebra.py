@@ -72,10 +72,6 @@ class TSvd:
     S: np.ndarray
     V: np.ndarray
 
-    @property
-    def rho(self) -> int:
-        return self.U.shape[1]
-
     def compose(self) -> np.ndarray:
         """Reassemble U * S * V^T."""
         return tprod(tprod(self.U, self.S), ttranspose(self.V))
@@ -131,7 +127,9 @@ def _svd(stack: np.ndarray, compute_uv: bool = True):
 # own threads, which is slower than one thread.  numpy's linalg and matmul
 # release the GIL, so every factorization runs with OpenBLAS pinned to one
 # thread, and independent calls (the slices of a large stack in contiguous
-# chunks, or whole solves) run on the calling and the pool threads.  Per matrix
+# chunks, or whole solves) run on the calling thread and on helpers submitted
+# to the pool.  A map cancels its helpers that have not started by the time its
+# calls run out, so it never waits behind another map's work.  Per matrix
 # the result has the same bits at any chunking, any worker count and any
 # OPENBLAS_NUM_THREADS.  Without the pin there is no split, since each call
 # would then start its own BLAS threads.
@@ -154,8 +152,7 @@ _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 ) - 1
 _pool = None
-_idle = 0  # pool threads not claimed by a map
-_lock = threading.Lock()  # guards the pool, its idle count and the pin below
+_lock = threading.Lock()  # guards the pool and the pin below
 _blas = None  # (get, set) thread count of numpy's OpenBLAS, () when absent
 _pin_depth = 0
 _pin_saved = 0
@@ -225,11 +222,13 @@ def _chunks(stack: np.ndarray) -> list[slice]:
 def _map(fn, *iterables) -> list:
     """``list(map(fn, *iterables))``, the calls shared out on one BLAS thread.
 
-    The calling thread runs call 0 and each pool thread idle at the start runs one more;
-    then all of them take the remaining calls from one shared iterator, so uneven calls
-    balance, and a busy pool leaves every call to the calling thread.  While a thread runs
-    a call of a map of two or more calls it is in a task: ``_chunks`` gives it one chunk
-    and its nested maps claim no pool thread.  Without the pin there is no pool thread.
+    The calling thread and up to ``_WORKERS`` helpers submitted to the pool take the calls
+    from one shared iterator, so uneven calls balance.  Once the calls run out, a call raises
+    or the caller is interrupted, the caller cancels every helper that has not started and
+    waits only for those that did, so a busy pool leaves every call to the calling thread.
+    While a thread runs a call of a map of two or more calls it is in a task: ``_chunks``
+    gives it one chunk and its nested maps submit no helper.  Without the pin there is no
+    helper.
 
     Once a call raises, no further call starts; the first failed call's error is raised
     after every started call has finished, so none is still running when the pin is lifted
@@ -237,70 +236,51 @@ def _map(fn, *iterables) -> list:
     """
     calls = list(zip(*iterables))
     results, errors = [None] * len(calls), {}
-    take = threading.Lock()
+    order, take = iter(range(len(calls))), threading.Lock()
 
-    def work(i):
+    def work():
         busy = _in_task()
         _task.busy = busy or len(calls) > 1
         try:
-            while i is not None and not errors:
+            while not errors:
+                with take:
+                    i = next(order, None)
+                if i is None:
+                    break
                 try:
                     results[i] = fn(*calls[i])
                 except Exception as exc:
                     errors[i] = exc
-                with take:
-                    i = next(order, None)
         finally:
             _task.busy = busy
 
-    def helper(i):
-        try:
-            work(i)
-        finally:
-            _release()
-
     with _one_blas_thread():
-        wanted = min(_WORKERS, len(calls) - 1) if not _in_task() and _openblas() else 0
-        pool, k = _claim(wanted) if wanted > 0 else (None, 0)
-        # helper i starts on call i: an idle pool thread gets a call however fast this one is
-        order = iter(range(k + 1, len(calls)))
-        futures = [pool.submit(helper, i) for i in range(1, k + 1)]
+        k = min(_WORKERS, len(calls) - 1) if not _in_task() and _openblas() else 0
+        helpers = [_executor().submit(work) for _ in range(k)]
         try:
-            work(0 if calls else None)
+            work()
         finally:
             with take:  # an interrupt of this thread stops the helpers too
                 for _ in order:
                     pass
-            for f in futures:
-                f.result()
+            for f in helpers:
+                if not f.cancel():
+                    f.result()
     if errors:
         raise errors[min(errors)]
     return results
 
 
-def _claim(n: int):
-    """The pool and how many of its idle threads, at most n, are now the caller's to use.
-
-    Every submission to the pool goes through here, so a claimed thread starts its work
-    without waiting behind other work.  Each one is handed back through ``_release``.
-    """
+def _executor():
+    """The private pool, made on first use."""
     # concurrent.futures, which imports logging, would add about 6 ms to importing trpca
     from concurrent.futures import ThreadPoolExecutor
 
-    global _pool, _idle
+    global _pool
     with _lock:
         if _pool is None:
-            _idle = max(_WORKERS, 1)
-            _pool = ThreadPoolExecutor(_idle, thread_name_prefix="trpca")
-        k = min(n, _idle)
-        _idle -= k
-        return _pool, k
-
-
-def _release() -> None:
-    global _idle
-    with _lock:
-        _idle += 1
+            _pool = ThreadPoolExecutor(max(_WORKERS, 1), thread_name_prefix="trpca")
+        return _pool
 
 
 def _reset_after_fork() -> None:

@@ -304,6 +304,42 @@ class TestExperimentFlagValidation:
         captured = capsys.readouterr()
         assert flag in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("table1", "--n", "0"),
+            ("table1", "--n3", "0"),
+            ("table1", "--m-frac", "2"),
+            ("table1", "--m-frac", "-0.5"),
+            ("table1", "--r-frac", "5"),
+            ("table1", "--seed", "-1"),
+            ("phase", "--n", "0"),
+            ("phase", "--n3", "0"),
+            ("phase", "--trials", "0"),
+            ("phase", "--grid", "0x3"),
+            ("phase", "--hi", "2"),
+            ("phase", "--seed", "-1"),
+        ],
+    )
+    def test_out_of_range_flag_exit_2(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "o.csv"
+        args = [command, "--n", "8", "--n3", "2", flag, value, "--out", str(out)]
+        assert main(args) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert flag in captured.err and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--fraction", "2"), ("--fraction", "nan"),
+                                             ("--seed", "-1")])
+    def test_denoise_flag_checked_before_any_output(self, tmp_path, capsys, flag, value):
+        img = tmp_path / "img.ppm"
+        imaging.write_netpbm(img, imaging.ImageStack(np.full((6, 5, 3), 90, np.uint8), True))
+        out_dir = tmp_path / "out"
+        assert main(["denoise", str(img), flag, value, "--out-dir", str(out_dir)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert flag in captured.err and captured.out == ""
+        assert not out_dir.exists()
+
 
 class TestWorkerCountIndependence:
     """The independent solves of ``table1``, ``phase`` and ``denoise --baseline`` give the

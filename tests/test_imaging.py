@@ -137,13 +137,6 @@ class TestPsnr:
         mse = np.mean((R - E) ** 2)
         assert imaging.psnr(R, E) == pytest.approx(10 * np.log10(1.0 / mse), abs=1e-10)
 
-    def test_scale_consistency(self, rng):
-        R = rng.random((4, 4, 2))
-        E = rng.random((4, 4, 2))
-        assert imaging.psnr(3 * R, 3 * E, peak=3.0) == pytest.approx(
-            imaging.psnr(R, E, peak=1.0), rel=1e-12
-        )
-
     def test_symmetric_in_difference(self, rng):
         R = rng.random((4, 4, 2))
         E = rng.random((4, 4, 2))

@@ -336,8 +336,10 @@ class TestParallelLayer:
         expected = tsvt(Y, tau)
         before = blas_threads()
         eigh = np.linalg.eigh
+        both = threading.Barrier(2, timeout=60)
 
         def eigh_failing_off_main(*args, **kwargs):
+            both.wait()  # each chunk on its own thread, so one of them on the pool's
             if threading.current_thread() is not threading.main_thread():
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             return eigh(*args, **kwargs)
@@ -404,7 +406,6 @@ class TestWorkSharingMap:
         def make(workers):
             monkeypatch.setattr(ta, "_WORKERS", workers)
             monkeypatch.setattr(ta, "_pool", None)
-            monkeypatch.setattr(ta, "_idle", 0)
 
         yield make
         if ta._pool is not None:
@@ -427,11 +428,14 @@ class TestWorkSharingMap:
     def test_completes_while_the_pool_is_blocked(self, fresh_pool, blas_threads):
         fresh_pool(2)
         release = threading.Event()
-        blocked = []
+        blocked, holding = [], set()
+
+        def hold(_):
+            holding.add(threading.get_ident())
+            return release.wait(60)
+
         # a map on another thread holds every pool thread until released
-        other = threading.Thread(
-            target=lambda: blocked.append(ta._map(lambda _: release.wait(60), range(4)))
-        )
+        other = threading.Thread(target=lambda: blocked.append(ta._map(hold, range(4))))
         other.start()
         seen = set()
 
@@ -441,10 +445,10 @@ class TestWorkSharingMap:
 
         try:
             for _ in range(500):
-                if ta._idle == 0:
+                if len(holding) == 3:
                     break
                 time.sleep(0.01)
-            assert ta._idle == 0
+            assert len(holding) == 3
             done = []
             mine = threading.Thread(target=lambda: done.append(ta._map(square, range(6))))
             mine.start()
@@ -456,7 +460,15 @@ class TestWorkSharingMap:
         assert not other.is_alive()
         assert done == [[0, 1, 4, 9, 16, 25]] and seen == {mine.ident}
         assert blocked == [[True] * 4]
-        assert ta._idle == 2
+        # the pool threads are free again: three calls that wait for each other all run
+        meet = threading.Barrier(3, timeout=60)
+
+        def where(_):
+            meet.wait()
+            return threading.get_ident()
+
+        ran_on = ta._map(where, range(3))
+        assert len(set(ran_on)) == 3 and threading.get_ident() in ran_on
 
     def test_error_is_raised_after_every_started_call(self, fresh_pool, blas_threads):
         fresh_pool(1)
@@ -464,7 +476,7 @@ class TestWorkSharingMap:
         started, finished = threading.Event(), []
 
         def call(k):
-            if k == 1:  # on the pool thread
+            if k == 1:  # on the other thread, once call 0 has started
                 started.wait(60)
                 raise ValueError("call 1 failed")
             started.set()
@@ -474,7 +486,7 @@ class TestWorkSharingMap:
         with pytest.raises(ValueError, match="call 1 failed"):
             ta._map(call, range(4))
         assert finished == [0]
-        assert blas_threads() == before and ta._pin_depth == 0 and ta._idle == 1
+        assert blas_threads() == before and ta._pin_depth == 0
 
     def test_every_call_runs_once_on_an_oversized_pool(self, fresh_pool):
         fresh_pool(6)
