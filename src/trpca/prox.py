@@ -1,8 +1,9 @@
 """Closed-form proximal operators for the two solver subproblems.
 
 ``tsvt`` is the prox of the tensor nuclear norm: per-spectral-slice singular
-value shrinkage over the half spectrum of the ``t_algebra`` helpers.  It
-takes the shrinkage of every slice from a batched Hermitian
+value shrinkage over the half spectrum of the ``t_algebra`` helpers, which
+is complex for n3 >= 3 and real for n3 <= 2.  It takes the shrinkage of
+every slice from a batched Hermitian (for a real stack, symmetric)
 eigendecomposition of the slices' Gram matrices (Cai & Osher, "Fast singular
 value thresholding without singular value decomposition", 2013), and from
 a batched SVD when squaring the slices would lose accuracy (see

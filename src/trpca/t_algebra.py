@@ -12,10 +12,13 @@ slices carry information.  One set of private helpers holds that layer:
 ``_half_spectrum`` copies those slices of ``dft3`` into an ``(h, n1, n2)``
 array, ``_svd`` factors the whole stack in one batched call, and
 ``_from_half_spectrum`` returns to a real tensor through ``irfft``, whose
-output is real by construction.  The t-product, the t-SVD and ``prox.tsvt``
-go through them (``tsvt`` uses ``_svd`` only where its Gram route would lose
-accuracy); ``_sweep`` reads one ``_svd`` call out as all the ranks, norms and
-rank-r factors that an inspection of a tensor needs.
+output is real by construction.  For n3 <= 2 every kept slice is its own
+conjugate, so the stack is float64 and every consumer runs real LAPACK and
+BLAS kernels; at n3 = 1, where the DFT is the identity, neither transform runs.
+The t-product, the t-SVD and ``prox.tsvt`` go through them (``tsvt`` uses
+``_svd`` only where its Gram route would lose accuracy); ``_sweep`` reads one
+``_svd`` call out as all the ranks, norms and rank-r factors that an
+inspection of a tensor needs.
 
 Every batched factorization runs with OpenBLAS pinned to one thread.  One
 work-sharing map, ``_map``, runs independent calls side by side on the calling
@@ -89,17 +92,21 @@ def _half_spectrum(A: np.ndarray) -> np.ndarray:
     The stack is a C-contiguous copy, so the full ``dft3`` output is freed before any
     factorization.  Slice 0 and, for even n3, slice n3/2 are their own conjugates, so they are
     real; their rounding residue is dropped so that their SVD factors, null spaces included,
-    are real too.
+    are real too.  For n3 <= 2 those are all the slices, so the stack is float64.
     """
     n3 = A.shape[2]
+    if n3 == 1:  # the DFT of length 1 is the identity
+        return np.moveaxis(np.asarray(A, dtype=np.float64), 2, 0).copy()
     stack = np.moveaxis(dft3(A)[:, :, : n3 // 2 + 1], 2, 0).copy()
     stack.imag[[0, n3 // 2] if n3 % 2 == 0 else [0]] = 0.0
-    return stack
+    return stack.real.copy() if n3 == 2 else stack
 
 
 def _from_half_spectrum(stack: np.ndarray, n3: int) -> np.ndarray:
-    """The real n1 x n2 x n3 tensor whose first spectral slices are ``stack``."""
-    return np.ascontiguousarray(np.fft.irfft(np.moveaxis(stack, 0, 2), n=n3, axis=2))
+    """The real n1 x n2 x n3 tensor whose first spectral slices are ``stack``; at n3 = 1
+    that is the (real) stack itself, which ``irfft`` would return bit for bit, slower."""
+    T = np.moveaxis(stack, 0, 2)
+    return np.ascontiguousarray(T if n3 == 1 else np.fft.irfft(T, n=n3, axis=2))
 
 
 def _svd(stack: np.ndarray, compute_uv: bool = True):

@@ -37,6 +37,19 @@ class TestTsvdCommand:
         assert report["multi_rank"] == [4, 4, 4]
         assert report["tnn"] == pytest.approx(4.0)
 
+    def test_n3_one_matches_matrix_svd(self, tmp_path, capsys):
+        A = gen_low_rank((9, 6, 1), 3, 8)
+        path = tmp_path / "m.tns3"
+        tensor_core.save_tensor(path, A)
+        assert main(["tsvd", str(path), "--json"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        s = np.linalg.svd(A[:, :, 0], compute_uv=False)
+        rank = int((s > t_algebra.DEFAULT_RANK_TOL * s[0]).sum())
+        assert rank == 3
+        assert report["multi_rank"] == [rank] and report["tubal_rank"] == rank
+        assert report["tnn"] == pytest.approx(s.sum(), rel=1e-12)
+        assert report["spectral_norm"] == pytest.approx(s[0], rel=1e-12)
+
     def test_zero_tensor(self, tmp_path, capsys):
         path = tmp_path / "z.tns3"
         tensor_core.save_tensor(path, np.zeros((3, 3, 2)))

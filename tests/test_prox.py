@@ -9,7 +9,7 @@ from trpca import t_algebra as ta
 from trpca import tensor_core as tc
 from trpca.prox import soft_threshold, tsvt
 
-from random_tensors import random_tensor
+from random_tensors import on_complex_route, random_tensor
 
 
 def tnn_objective(L, Y, tau):
@@ -231,6 +231,22 @@ class TestTsvtAccuracy:
             rng, 6, 5, 4, lambda k: tau * np.r_[1e6, 1 + 1e-6 * rng.uniform(-1, 1, 4)]
         )
         self.assert_matches(Y, tau, "svd", factorizations)
+
+
+class TestRealHalfSpectrum:
+    """At n3 <= 2 the half spectrum is real and ``tsvt`` factors it with real LAPACK; both
+    routes agree with the complex route to 1e-12 of ||Y||_F."""
+
+    @pytest.mark.parametrize("n3", [1, 2])
+    @pytest.mark.parametrize("shape", [(8, 5), (5, 8)], ids=["tall", "wide"])
+    @pytest.mark.parametrize("top, route", [(50.0, "eigh"), (1e4, "svd")], ids=["gram", "svd"])
+    def test_matches_complex_route(self, rng, factorizations, n3, shape, top, route):
+        p = min(shape)
+        Y = tensor_with_spectrum(rng, *shape, n3, lambda k: np.r_[top, np.linspace(2.0, 0.5, p - 1)])
+        factorizations.clear()
+        out = tsvt(Y, 1.0)
+        assert factorizations == [route]
+        assert tc.norm_fro(out - on_complex_route(tsvt, Y, 1.0)) <= 1e-12 * tc.norm_fro(Y)
 
 
 class TestSoftThreshold:

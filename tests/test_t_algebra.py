@@ -4,8 +4,9 @@ import pytest
 from trpca import t_algebra as ta
 from trpca import tensor_core as tc
 from trpca.prox import tsvt
+from trpca.solver import SolverConfig, incoherence_report, solve
 
-from random_tensors import random_tensor
+from random_tensors import on_complex_route, random_tensor
 
 
 def naive_dft_tube(tube):
@@ -358,6 +359,86 @@ class TestSpectralLayer:
         monkeypatch.setattr(np.linalg, "svd", svd_failing_once)
         assert ta.tnn(A) == pytest.approx(expected, rel=1e-12)
         assert calls == [(3, 5, 3), (3, 3, 5)]
+
+
+class TestRealHalfSpectrum:
+    """For n3 <= 2 every kept spectral slice is real, so the half spectrum is a float64
+    stack and every consumer runs real kernels, agreeing with the complex route."""
+
+    @pytest.mark.parametrize(
+        "n3, dtype", [(1, np.float64), (2, np.float64), (3, np.complex128), (4, np.complex128)]
+    )
+    def test_stack_dtype(self, rng, n3, dtype):
+        stack = ta._half_spectrum(random_tensor(rng, 3, 2, n3))
+        assert stack.dtype == dtype
+        assert stack.base is None and stack.flags.c_contiguous
+
+    @pytest.mark.parametrize("n3", [1, 2])
+    @pytest.mark.parametrize("n1, n2", [(6, 4), (4, 6)], ids=["tall", "wide"])
+    def test_matches_complex_route(self, rng, n1, n2, n3):
+        A = random_tensor(rng, n1, n2, n3)
+        B = random_tensor(rng, n2, 3, n3)
+        scale = tc.norm_fro(A)
+        for fn in (
+            lambda A: ta.tsvd(A).compose(),
+            lambda A: ta.tsvd(A, rank=2).compose(),
+            lambda A: ta.tsvd(A).S,
+        ):
+            assert tc.norm_fro(fn(A) - on_complex_route(fn, A)) <= 1e-12 * scale
+        # rank 2 in every slice, so the ranks count past a gap
+        L = ta.tprod(random_tensor(rng, n1, 2, n3), random_tensor(rng, 2, n2, n3))
+        for X in (A, L):
+            assert np.array_equal(ta.multi_rank(X), on_complex_route(ta.multi_rank, X))
+            assert ta.tnn(X) == pytest.approx(on_complex_route(ta.tnn, X), rel=1e-12)
+            sn = on_complex_route(ta.spectral_norm, X)
+            assert ta.spectral_norm(X) == pytest.approx(sn, rel=1e-12)
+        assert np.array_equal(ta.multi_rank(L), [2] * n3)
+        AB = ta.tprod(A, B)
+        bound = 1e-12 * scale * tc.norm_fro(B)
+        assert tc.norm_fro(AB - ta.tprod_oracle(A, B)) <= bound
+        assert tc.norm_fro(AB - on_complex_route(ta.tprod, A, B)) <= bound
+
+    @pytest.mark.parametrize("n3", [1, 2])
+    def test_only_real_factorizations(self, rng, monkeypatch, n3):
+        seen = []
+        for name in ("svd", "eigh"):
+            def spy(a, *args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+                seen.append((_name, a.dtype))
+                return _f(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        if n3 == 1:
+            def no_dft3(A):
+                raise AssertionError("the DFT of length 1 is the identity")
+
+            monkeypatch.setattr(ta, "dft3", no_dft3)
+        A = random_tensor(rng, 6, 4, n3)
+        top = np.linalg.norm(ta._half_spectrum(A), axis=(1, 2)).max()
+        tsvt(A, top / 10)  # Gram route
+        tsvt(A, top / 1000)  # SVD route
+        ta.tsvd(A).compose()
+        ta.tprod(A, ta.ttranspose(A))
+        ta.multi_rank(A)
+        incoherence_report(A)
+        solve(A, SolverConfig(max_iter=3))
+        assert {name for name, _ in seen} == {"svd", "eigh"}
+        assert {dtype for _, dtype in seen} == {np.dtype(np.float64)}
+
+    def test_svd_retry_is_real(self, rng, monkeypatch):
+        A = random_tensor(rng, 5, 3, 2)
+        expected = ta.tnn(A)
+        svd = np.linalg.svd
+        calls = []
+
+        def svd_failing_once(a, *args, **kwargs):
+            calls.append((a.shape, a.dtype))
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd_failing_once)
+        assert ta.tnn(A) == pytest.approx(expected, rel=1e-12)
+        assert calls == [((2, 5, 3), np.float64), ((2, 3, 5), np.float64)]
 
 
 class TestRanks:
