@@ -18,12 +18,9 @@ from .solver import (
 )
 from .t_algebra import (
     TSvd,
-    average_rank,
     bcirc,
     dft3,
     fold,
-    identity_tensor,
-    is_orthogonal,
     multi_rank,
     spectral_norm,
     tnn,
@@ -37,17 +34,11 @@ from .t_algebra import (
 from .tensor_core import (
     TensorDims,
     as_tensor,
-    basis_column,
-    basis_tube,
-    basis_unit,
-    frontal_slice,
-    inner_product,
     load_tensor,
     norm_fro,
     norm_inf,
     norm_l1,
     save_tensor,
-    zeros,
 )
 
 __version__ = "0.1.0"

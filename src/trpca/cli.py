@@ -3,8 +3,9 @@
 Subcommands: ``tsvd`` (inspect a tensor file), ``solve`` (decompose a
 tensor), ``table1`` (seeded exact-recovery trials), ``phase`` (rank vs
 sparsity phase grid), ``denoise`` (image recovery).  Exit codes: 0 on
-success, 2 on bad input, 3 when the solver hits the iteration cap, 4 on a
-numerical failure (a spectral factorization that LAPACK cannot compute).
+success, 2 on bad input or a file that cannot be read or written, 3 when the
+solver hits the iteration cap, 4 on a numerical failure (a spectral
+factorization that LAPACK cannot compute).
 Every randomized command prints its seed, and identical seeds reproduce file
 outputs byte for byte.
 """
@@ -319,7 +320,7 @@ def main(argv=None) -> int:
         # a subclass of ValueError, so it must be caught first
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (InputError, ValueError) as exc:
+    except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -28,7 +28,6 @@ __all__ = [
     "corrupt_pixels",
     "psnr",
     "denoise",
-    "rpca_channelwise_baseline",
 ]
 
 PSNR_INFINITE = math.inf
@@ -202,45 +201,28 @@ def denoise(
     """Corrupt, solve the tensor decomposition, and score the recovery.
 
     Returns (DenoiseReport, L, E, mask) with L clamped to [0, 1].  With
-    ``baseline=True`` the channelwise matrix solver is also run on the same
-    corrupted tensor and scored; its channel solves run beside the tensor solve.
+    ``baseline=True`` each frontal slice is also solved on its own as an n3=1
+    problem with the matrix weight 1/sqrt(max(n1, n2)), and the clamped slices
+    are scored together; these channel solves run beside the tensor solve.
     """
     clean = stack_to_tensor(stack)
     corrupted, mask = corrupt_pixels(clean, fraction, seed)
     config = config or SolverConfig()
     problems = [(corrupted, config)]
     if baseline:
-        problems += _channel_problems(corrupted, config)
+        n1, n2, n3 = corrupted.shape
+        slice_config = replace(config, lam=default_lambda((n1, n2, 1)))
+        problems += [(corrupted[:, :, k : k + 1], slice_config) for k in range(n3)]
     # independent solves, run side by side, the longest first
     result, *channels = _map(solve, *zip(*problems))
     L = np.clip(result.L, 0.0, 1.0)
-    psnr_base = psnr(clean, _stack_channels(channels)) if baseline else None
+    psnr_base = None
+    if baseline:
+        base_L = np.clip(np.concatenate([r.L for r in channels], axis=2), 0.0, 1.0)
+        psnr_base = psnr(clean, base_L)
     report = DenoiseReport(
         psnr_trpca=psnr(clean, L),
         psnr_baseline=psnr_base,
         solver_iterations=result.iterations,
     )
     return report, L, result.E, mask
-
-
-def rpca_channelwise_baseline(corrupted: np.ndarray, config: SolverConfig) -> np.ndarray:
-    """Solve each frontal slice independently as an n3=1 problem.
-
-    Uses the matrix weight 1/sqrt(max(n1, n2)) per slice and returns the
-    low-rank slices reassembled into a tensor clamped to [0, 1].  The slices
-    are solved side by side.
-    """
-    problems = _channel_problems(as_tensor(corrupted), config)
-    return _stack_channels(_map(solve, *zip(*problems)))
-
-
-def _channel_problems(corrupted: np.ndarray, config: SolverConfig) -> list:
-    """(slice, config) of each frontal slice's n3=1 solve, with the matrix weight."""
-    n1, n2, n3 = corrupted.shape
-    slice_config = replace(config, lam=default_lambda((n1, n2, 1)))
-    return [(corrupted[:, :, k : k + 1], slice_config) for k in range(n3)]
-
-
-def _stack_channels(results) -> np.ndarray:
-    """The low-rank slices of the channel solves as one tensor clamped to [0, 1]."""
-    return np.clip(np.concatenate([r.L for r in results], axis=2), 0.0, 1.0)

@@ -49,7 +49,7 @@ def tsvt(Y: np.ndarray, tau: float) -> np.ndarray:
     work floor the half spectrum is factored, then rebuilt, in one chunk
     per core; the result has the same bits at any chunking.
     """
-    if tau <= 0:
+    if not tau > 0:  # NaN too
         raise ValueError(f"tau must be positive, got {tau}")
     Y = as_tensor(Y)
     stack = _half_spectrum(Y)
@@ -106,7 +106,7 @@ def _gram_svt(stack: np.ndarray, tau: float) -> np.ndarray:
 
 def soft_threshold(Y: np.ndarray, tau: float) -> np.ndarray:
     """Minimizer of tau*||E||_1 + (1/2)*||E - Y||_F^2, entrywise shrinkage."""
-    if tau <= 0:
+    if not tau > 0:  # NaN too
         raise ValueError(f"tau must be positive, got {tau}")
     Y = np.asarray(Y, dtype=np.float64)
     return np.sign(Y) * np.maximum(np.abs(Y) - tau, 0.0)

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor_core import TensorDims, as_tensor, norm_fro
+from .tensor_core import as_tensor
 
 __all__ = [
     "TSvd",
@@ -50,14 +50,11 @@ __all__ = [
     "tprod",
     "tprod_oracle",
     "ttranspose",
-    "identity_tensor",
-    "is_orthogonal",
     "tsvd",
     "multi_rank",
     "tubal_rank",
     "tnn",
     "spectral_norm",
-    "average_rank",
 ]
 
 DEFAULT_RANK_TOL = 1e-8
@@ -362,29 +359,6 @@ def ttranspose(A: np.ndarray) -> np.ndarray:
     return out
 
 
-def identity_tensor(n: int, n3: int) -> np.ndarray:
-    """Identity of the t-product: first slice I_n, remaining slices zero."""
-    TensorDims(n, n, n3).validate()
-    I = np.zeros((n, n, n3))
-    I[:, :, 0] = np.eye(n)
-    return I
-
-
-def is_orthogonal(Q: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when Q^T * Q and Q * Q^T both equal the identity tensor."""
-    Q = as_tensor(Q)
-    n1, n2, n3 = Q.shape
-    if n1 != n2:
-        raise ValueError(f"orthogonality requires square frontal slices, got {Q.shape}")
-    I = identity_tensor(n1, n3)
-    Qt = ttranspose(Q)
-    scale = np.sqrt(n1 * n3)
-    return (
-        norm_fro(tprod(Qt, Q) - I) <= tol * scale
-        and norm_fro(tprod(Q, Qt) - I) <= tol * scale
-    )
-
-
 def tsvd(A: np.ndarray, rank: int | None = None) -> TSvd:
     """t-SVD of A: orthogonal U, V and f-diagonal S with A = U * S * V^T.
 
@@ -433,11 +407,6 @@ def multi_rank(A: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
 def tubal_rank(A: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     """Largest entry of the multi rank."""
     return int(multi_rank(A, tol).max())
-
-
-def average_rank(A: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> float:
-    """Mean of the multi rank entries."""
-    return float(multi_rank(A, tol).mean())
 
 
 def tnn(A: np.ndarray) -> float:

@@ -1,10 +1,9 @@
-"""Dense third-order tensor storage, norms, the standard basis, and file I/O.
+"""Dense third-order tensor storage, norms, and file I/O.
 
 A tensor is a plain ``numpy.ndarray`` of shape ``(n1, n2, n3)`` and dtype
 float64.  Frontal slice ``k`` (0-based) is ``A[:, :, k]``; the tube at
-``(i, j)`` is ``A[i, j, :]``.  Every public constructor in this module
-returns finite float64 data; functions that accept tensors validate shape
-and finiteness through :func:`as_tensor`.
+``(i, j)`` is ``A[i, j, :]``.  The file reader and writer pass their tensor
+through :func:`as_tensor`, which checks shape and finiteness.
 
 On-disk format (``.tns3``): magic bytes ``TNS3``, then ``n1, n2, n3`` as
 little-endian uint64, then the entries as little-endian float64 in
@@ -21,15 +20,9 @@ import numpy as np
 __all__ = [
     "TensorDims",
     "as_tensor",
-    "zeros",
-    "frontal_slice",
-    "inner_product",
     "norm_l1",
     "norm_inf",
     "norm_fro",
-    "basis_column",
-    "basis_tube",
-    "basis_unit",
     "write_tensor",
     "read_tensor",
     "save_tensor",
@@ -84,30 +77,6 @@ def as_tensor(a) -> np.ndarray:
     return arr
 
 
-def zeros(dims) -> np.ndarray:
-    """All-zero tensor of the given dims (a TensorDims or 3-tuple)."""
-    d = TensorDims(*dims).validate()
-    return np.zeros(d, dtype=np.float64)
-
-
-def frontal_slice(A: np.ndarray, k: int) -> np.ndarray:
-    """Frontal slice ``A[:, :, k]`` (0-based) as an n1 x n2 view."""
-    n3 = A.shape[2]
-    if not 0 <= k < n3:
-        raise IndexError(f"frontal slice index {k} out of range [0, {n3})")
-    return A[:, :, k]
-
-
-def inner_product(A: np.ndarray, B: np.ndarray) -> float:
-    """Sum over all entries of a_ijk * b_ijk."""
-    if A.shape != B.shape:
-        raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
-    from .t_algebra import _one_blas_thread
-
-    with _one_blas_thread():  # see norm_fro
-        return float(np.vdot(A, B).real)
-
-
 def norm_l1(A: np.ndarray) -> float:
     return float(np.abs(A).sum())
 
@@ -123,38 +92,6 @@ def norm_fro(A: np.ndarray) -> float:
 
     with _one_blas_thread():
         return float(np.linalg.norm(A.ravel()))
-
-
-def basis_column(i: int, n: int, n3: int) -> np.ndarray:
-    """Column-basis tensor of size n x 1 x n3 with a single 1 at (i, 0, 0)."""
-    if not 0 <= i < n:
-        raise IndexError(f"column index {i} out of range [0, {n})")
-    e = np.zeros((n, 1, n3))
-    e[i, 0, 0] = 1.0
-    return e
-
-
-def basis_tube(k: int, n3: int) -> np.ndarray:
-    """Tube-basis tensor of size 1 x 1 x n3 with a single 1 at (0, 0, k)."""
-    if not 0 <= k < n3:
-        raise IndexError(f"tube index {k} out of range [0, {n3})")
-    e = np.zeros((1, 1, n3))
-    e[0, 0, k] = 1.0
-    return e
-
-
-def basis_unit(i: int, j: int, k: int, dims) -> np.ndarray:
-    """Unit tensor with a single 1 at position (i, j, k).
-
-    Equals the t-product of column basis i, tube basis k and the
-    transposed column basis j.
-    """
-    d = TensorDims(*dims).validate()
-    if not (0 <= i < d.n1 and 0 <= j < d.n2 and 0 <= k < d.n3):
-        raise IndexError(f"index ({i}, {j}, {k}) out of range for dims {tuple(d)}")
-    e = np.zeros(d)
-    e[i, j, k] = 1.0
-    return e
 
 
 # ---------------------------------------------------------------------------

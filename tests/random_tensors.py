@@ -1,5 +1,6 @@
-"""Random test tensors and a complex-route reference, importable from every test
-module (unlike ``conftest``, whose name ``perfbench/tests`` also uses)."""
+"""Random test tensors, t-product identities and a complex-route reference,
+importable from every test module (unlike ``conftest``, whose name
+``perfbench/tests`` also uses)."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,31 @@ from trpca import t_algebra as ta
 
 def random_tensor(rng, n1, n2, n3, scale=1.0):
     return scale * rng.normal(size=(n1, n2, n3))
+
+
+def identity_tensor(n, n3):
+    """Identity of the t-product: first frontal slice I_n, the others zero."""
+    I = np.zeros((n, n, n3))
+    I[:, :, 0] = np.eye(n)
+    return I
+
+
+def is_orthogonal(Q, tol=1e-9):
+    """True when Q^T * Q and Q * Q^T both equal the identity tensor."""
+    n1, n2, n3 = Q.shape
+    if n1 != n2:
+        raise ValueError(f"orthogonality requires square frontal slices, got {Q.shape}")
+    I = identity_tensor(n1, n3)
+    Qt = ta.ttranspose(Q)
+    errors = (ta.tprod(Qt, Q) - I, ta.tprod(Q, Qt) - I)
+    return max(np.linalg.norm(e) for e in errors) <= tol * np.sqrt(n1 * n3)
+
+
+def basis_column(i, n, n3):
+    """Column basis e_i: n x 1 x n3, a single 1 at (i, 0, 0)."""
+    e = np.zeros((n, 1, n3))
+    e[i, 0, 0] = 1.0
+    return e
 
 
 def complex_half_spectrum(A):

@@ -13,13 +13,15 @@ from trpca.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_NUMERICAL, EXIT_OK, 
 from trpca.solver import incoherence_report
 from trpca.synth import TrialSpec, gen_low_rank, gen_sparse_uniform, make_instance
 
+from random_tensors import identity_tensor
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
 def identity_file(tmp_path):
     path = tmp_path / "identity.tns3"
-    tensor_core.save_tensor(path, t_algebra.identity_tensor(4, 3))
+    tensor_core.save_tensor(path, identity_tensor(4, 3))
     return path
 
 
@@ -352,6 +354,28 @@ class TestExperimentFlagValidation:
         captured = capsys.readouterr()
         assert flag in captured.err and captured.out == ""
         assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["denoise", "{tmp}/frames", "--out-dir", "{tmp}/out"],
+        ["solve", "{tmp}/x.tns3", "--out-L", "{tmp}/missing/L.tns3", "--out-E", "{tmp}/E"],
+        ["table1", "--n", "8", "--n3", "2", "--out", "{tmp}/missing/t.csv"],
+        ["denoise", "{tmp}/img.ppm", "--out-dir", "{tmp}/img.ppm/x"],
+    ],
+    ids=["frame_is_directory", "solve_out_missing_dir", "table1_out_missing_dir",
+         "denoise_out_dir_under_file"],
+)
+def test_os_error_exit_2(tmp_path, capsys, args):
+    # a path the command cannot read or write
+    (tmp_path / "frames" / "a.pgm").mkdir(parents=True)
+    image = imaging.ImageStack(np.full((6, 5, 3), 90, np.uint8), True)
+    imaging.write_netpbm(tmp_path / "img.ppm", image)
+    tensor_core.save_tensor(tmp_path / "x.tns3", np.zeros((6, 6, 2)))
+    assert main([a.format(tmp=tmp_path) for a in args]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "Traceback" not in err
 
 
 class TestWorkerCountIndependence:

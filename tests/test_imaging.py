@@ -192,14 +192,8 @@ class TestChannelwiseBaseline:
         # n3 = 1: the baseline and the tensor solver are the same problem
         frames = rng.integers(0, 256, size=(20, 20, 1), dtype=np.uint8)
         stack = imaging.ImageStack(frames=frames)
-        clean = imaging.stack_to_tensor(stack)
-        corrupted, _ = imaging.corrupt_pixels(clean, 0.1, 0)
-        cfg = SolverConfig(max_iter=100)
-        base_L = imaging.rpca_channelwise_baseline(corrupted, cfg)
-        from trpca.solver import solve
-
-        direct = solve(corrupted, SolverConfig(max_iter=100))
-        assert np.allclose(base_L, np.clip(direct.L, 0, 1), atol=1e-12)
+        report, _, _, _ = imaging.denoise(stack, 0.1, 0, SolverConfig(max_iter=100), baseline=True)
+        assert report.psnr_baseline == report.psnr_trpca
 
     def test_cross_frame_structure_beats_baseline(self):
         # identical frames: tensor route can exploit the shared structure

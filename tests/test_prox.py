@@ -122,8 +122,9 @@ class TestTsvt:
             tsvt(random_tensor(rng, 4, 3, 3), 0.8)
 
     def test_rejects_nonpositive_tau(self, rng):
-        with pytest.raises(ValueError):
-            tsvt(random_tensor(rng, 2, 2, 2), 0.0)
+        for tau in (0.0, np.nan):
+            with pytest.raises(ValueError, match="positive"):
+                tsvt(random_tensor(rng, 2, 2, 2), tau)
 
     def test_zero_to_zero(self):
         assert np.array_equal(tsvt(np.zeros((2, 2, 3)), 0.5), np.zeros((2, 2, 3)))
@@ -267,8 +268,9 @@ class TestSoftThreshold:
             assert o == pytest.approx(scalar_prox_oracle(y, 0.1), abs=1e-9)
 
     def test_rejects_nonpositive_tau(self, rng):
-        with pytest.raises(ValueError):
-            soft_threshold(random_tensor(rng, 2, 2, 2), -0.1)
+        for tau in (-0.1, np.nan):
+            with pytest.raises(ValueError, match="positive"):
+                soft_threshold(random_tensor(rng, 2, 2, 2), tau)
 
     def test_zero_to_zero(self):
         assert np.array_equal(soft_threshold(np.zeros((2, 2, 2)), 1.0), np.zeros((2, 2, 2)))

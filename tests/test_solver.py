@@ -13,7 +13,7 @@ from trpca.solver import (
 )
 from trpca.synth import gen_low_rank, gen_sparse_uniform
 
-from random_tensors import random_tensor
+from random_tensors import basis_column, identity_tensor, random_tensor
 
 
 def matrix_rpca_reference(X, lam, rho=1.1, mu0=1e-3, mu_max=1e10, eps=1e-8, max_iter=500):
@@ -192,11 +192,11 @@ class TestPerIterationScaling:
 class TestIncoherence:
     def test_identity_tensor(self):
         n, n3 = 4, 3
-        rep = incoherence_report(ta.identity_tensor(n, n3))
+        rep = incoherence_report(identity_tensor(n, n3))
         assert rep.r == n
         # brute force: U = V = identity tensor, U^T * e_i has one unit tube
-        e = tc.basis_column(0, n, n3)
-        proj = ta.tprod(ta.ttranspose(ta.identity_tensor(n, n3)), e)
+        e = basis_column(0, n, n3)
+        proj = ta.tprod(ta.ttranspose(identity_tensor(n, n3)), e)
         expected_mu = n * n3 / n * tc.norm_fro(proj) ** 2
         assert rep.mu_u == pytest.approx(expected_mu, rel=1e-9)
         assert rep.mu_v == pytest.approx(expected_mu, rel=1e-9)
@@ -212,7 +212,7 @@ class TestIncoherence:
         for Q, n, mu in ((f.U, n1, rep.mu_u), (f.V, n2, rep.mu_v)):
             Qt = ta.ttranspose(Q)
             max_sq = max(
-                tc.norm_fro(ta.tprod(Qt, tc.basis_column(i, n, n3))) ** 2 for i in range(n)
+                tc.norm_fro(ta.tprod(Qt, basis_column(i, n, n3))) ** 2 for i in range(n)
             )
             assert mu == pytest.approx(n * n3 / r * max_sq, rel=1e-9)
 
