@@ -13,6 +13,7 @@ outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -53,6 +54,26 @@ def _build_config(args) -> SolverConfig:
     return config
 
 
+@contextlib.contextmanager
+def _outputs(mode: str, *paths):
+    """Open every output path for writing before the command computes anything, so that a
+    path that cannot be written exits 2 at once.  If opening one fails or the command fails,
+    the files opened here are removed: a failed command leaves no partial output behind."""
+    files = []
+    try:
+        for path in paths:
+            files.append(open(path, mode, newline=None if "b" in mode else ""))
+        yield files
+    except BaseException:
+        for f in files:
+            f.close()
+            Path(f.name).unlink(missing_ok=True)
+        raise
+    finally:
+        for f in files:
+            f.close()
+
+
 def cmd_tsvd(args) -> int:
     A = _load_tensor(args.input)
     mr, tnn, spectral_norm, U, Vh = t_algebra._sweep(A, args.tol, factors=True)
@@ -86,9 +107,11 @@ def cmd_tsvd(args) -> int:
 
 def cmd_solve(args) -> int:
     X = _load_tensor(args.input)
-    result = solve(X, _build_config(args))
-    tensor_core.save_tensor(args.out_L, result.L)
-    tensor_core.save_tensor(args.out_E, result.E)
+    config = _build_config(args)
+    with _outputs("wb", args.out_L, args.out_E) as (f_L, f_E):
+        result = solve(X, config)
+        tensor_core.write_tensor(f_L, result.L)
+        tensor_core.write_tensor(f_E, result.E)
     res_l, res_e, res_gap = result.residual_history[-1]
     print(f"lambda: {result.lam:.12g}")
     print(f"iterations: {result.iterations}")
@@ -121,7 +144,6 @@ def cmd_table1(args) -> int:
     r = max(1, round(args.r_frac * n))
     m = round(args.m_frac * n * n * n3)
     config = _build_config(args)
-    print(f"seed: {args.seed}  n={n} n3={n3} r={r} m={m} seeds={args.seeds}")
     specs = [
         synth.TrialSpec(
             dims=tensor_core.TensorDims(n, n, n3),
@@ -132,19 +154,21 @@ def cmd_table1(args) -> int:
         )
         for s in range(args.seeds)
     ]
-    # the seeds are independent solves, run side by side; rows follow in seed order
-    rows = list(zip(specs, t_algebra._map(lambda spec: synth.run_trial(spec, config), specs)))
-    for spec, out in rows:
-        print(
-            f"seed {spec.seed}: rank_hat={out.rank_hat} nnz_hat={out.nnz_hat} "
-            f"rel_err_L={out.rel_err_L:.3e} rel_err_E={out.rel_err_E:.3e} "
-            f"iters={out.iterations} time={out.wall_time:.1f}s"
+    with _outputs("w", args.out) as (f,):
+        print(f"seed: {args.seed}  n={n} n3={n3} r={r} m={m} seeds={args.seeds}")
+        # the seeds are independent solves, run side by side; rows follow in seed order
+        rows = list(zip(specs, t_algebra._map(lambda spec: synth.run_trial(spec, config), specs)))
+        for spec, out in rows:
+            print(
+                f"seed {spec.seed}: rank_hat={out.rank_hat} nnz_hat={out.nnz_hat} "
+                f"rel_err_L={out.rel_err_L:.3e} rel_err_E={out.rel_err_E:.3e} "
+                f"iters={out.iterations} time={out.wall_time:.1f}s"
+            )
+        synth.write_trials_csv(
+            f,
+            rows,
+            header_comment=f"exact-recovery trials seed={args.seed} n={n} n3={n3} r={r} m={m}",
         )
-    synth.write_trials_csv(
-        args.out,
-        rows,
-        header_comment=f"exact-recovery trials seed={args.seed} n={n} n3={n3} r={r} m={m}",
-    )
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -164,25 +188,26 @@ def cmd_phase(args) -> int:
     config = _build_config(args)
     r_fracs = [round(v, 10) for v in np.linspace(args.lo, args.hi, nr)]
     rho_list = [round(v, 10) for v in np.linspace(args.lo, args.hi, nrho)]
-    print(
-        f"seed: {args.seed}  n={args.n} n3={args.n3} grid={nr}x{nrho} "
-        f"range=[{args.lo}, {args.hi}] trials={args.trials}"
-    )
-    grid = synth.phase_grid(
-        tensor_core.TensorDims(args.n, args.n, args.n3),
-        r_fracs,
-        rho_list,
-        args.trials,
-        args.seed,
-        config,
-    )
-    synth.write_phase_csv(
-        args.out,
-        grid,
-        header_comment=(
-            f"phase grid seed={args.seed} n={args.n} n3={args.n3} trials={args.trials}"
-        ),
-    )
+    with _outputs("w", args.out) as (f,):
+        print(
+            f"seed: {args.seed}  n={args.n} n3={args.n3} grid={nr}x{nrho} "
+            f"range=[{args.lo}, {args.hi}] trials={args.trials}"
+        )
+        grid = synth.phase_grid(
+            tensor_core.TensorDims(args.n, args.n, args.n3),
+            r_fracs,
+            rho_list,
+            args.trials,
+            args.seed,
+            config,
+        )
+        synth.write_phase_csv(
+            f,
+            grid,
+            header_comment=(
+                f"phase grid seed={args.seed} n={args.n} n3={args.n3} trials={args.trials}"
+            ),
+        )
     print(f"wrote {args.out}")
     return EXIT_OK
 

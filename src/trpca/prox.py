@@ -39,7 +39,9 @@ def tsvt(Y: np.ndarray, tau: float) -> np.ndarray:
     """Minimizer of tau*||L||_tnn + (1/2)*||L - Y||_F^2.
 
     Each spectral slice Y_k gets a matrix SVT with threshold tau.  When
-    every ||Y_k||_F is at most ``GRAM_RATIO * tau``, the slices are shrunk
+    every ||Y_k||_F, which bounds the slice's singular values, is at most tau,
+    the result is zero and nothing is factored.  When every ||Y_k||_F is at
+    most ``GRAM_RATIO * tau``, the slices are shrunk
     through the eigendecomposition of their Gram matrices on the smaller
     side, with an error of about eps * (sigma_1 / tau)^2 * tau; otherwise,
     or when that eigendecomposition fails, through the SVD.  Either way the
@@ -53,7 +55,10 @@ def tsvt(Y: np.ndarray, tau: float) -> np.ndarray:
         raise ValueError(f"tau must be positive, got {tau}")
     Y = as_tensor(Y)
     stack = _half_spectrum(Y)
-    if np.linalg.norm(stack, axis=(1, 2)).max() <= GRAM_RATIO * tau:
+    top = np.linalg.norm(stack, axis=(1, 2)).max()
+    if top <= tau:  # every singular value is at most tau, so every one shrinks to 0
+        return np.zeros(Y.shape)
+    if top <= GRAM_RATIO * tau:
         try:
             return _from_half_spectrum(_gram_svt(stack, tau), Y.shape[2])
         except np.linalg.LinAlgError:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import t_algebra
-from .prox import soft_threshold, tsvt
+from .prox import tsvt
 from .tensor_core import TensorDims, as_tensor, norm_inf
 
 __all__ = [
@@ -94,7 +94,15 @@ def solve(X: np.ndarray, config: SolverConfig | None = None, callback=None) -> T
     the feasibility gap are all <= eps.  Hitting max_iter returns a result
     flagged converged=False rather than raising.
 
-    ``callback(k, L, E)``, when given, is invoked after every iteration.
+    Steps 2 and 3, the three residuals and the next step 1's argument run as one pass over
+    row slabs of the tensor (``_update``), one slab per core from the parallel layer's
+    ``t_algebra.SLAB_FLOOR`` on, each slab in cache-sized blocks.  Step 1's argument is written
+    into one buffer that lives for the whole solve; step 2's, and Y/mu, exist only a block at a
+    time, so no second full-size buffer stays alive through the t-SVT.  Every expression keeps
+    the association written above, so the result has the same bits at any slab or block count.
+
+    ``callback(k, L, E)``, when given, is invoked after every iteration; no later iteration
+    writes to the arrays it receives.
     """
     X = as_tensor(X)
     if config is None:
@@ -104,21 +112,24 @@ def solve(X: np.ndarray, config: SolverConfig | None = None, callback=None) -> T
     L = np.zeros_like(X)
     E = np.zeros_like(X)
     Y = np.zeros_like(X)
+    # the argument of step 1, X - E - Y/mu: with E = Y = 0 that is X, bit for bit
+    P = X.copy()
+    slabs = t_algebra._slabs(X.shape)
     mu = config.mu0
     history = []
     converged = False
     k = 0
     for k in range(1, config.max_iter + 1):
-        L_new = tsvt(X - E - Y / mu, 1.0 / mu)
-        E_new = soft_threshold(X - L_new - Y / mu, lam / mu)
-        gap = L_new + E_new - X
-        Y += mu * gap
-        res = (norm_inf(L_new - L), norm_inf(E_new - E), norm_inf(gap))
+        L_new = tsvt(P, 1.0 / mu)
+        E_new = np.empty_like(X)
+        mu_next = min(config.rho * mu, config.mu_max)
+        parts = t_algebra._each(_update, slabs, X, L, E, Y, L_new, E_new, P, mu, lam / mu, mu_next)
+        res = parts[0] if len(parts) == 1 else tuple(map(max, *parts))
         history.append(res)
         L, E = L_new, E_new
         if callback is not None:
             callback(k, L, E)
-        mu = min(config.rho * mu, config.mu_max)
+        mu = mu_next
         if max(res) <= config.eps:
             converged = True
             break
@@ -130,6 +141,33 @@ def solve(X: np.ndarray, config: SolverConfig | None = None, callback=None) -> T
         residual_history=history,
         lam=lam,
     )
+
+
+def _update(rows, X, L, E, Y, L_new, E_new, P, mu, tau, mu_next) -> tuple:
+    """Steps 2 and 3 of ``solve`` on the rows ``rows``, block by block (``t_algebra._BLOCK``),
+    with tau = lam/mu: writes E_new, updates Y, then writes the next iteration's step-1
+    argument into P.  Returns the rows' three residual maxima."""
+    step = t_algebra._block_rows(X.shape)
+    dl = de = dg = 0.0
+    for i in range(rows.start, rows.stop, step):
+        b = slice(i, min(i + step, rows.stop))
+        x, l_new, e_new, y = X[b], L_new[b], E_new[b], Y[b]
+        B = np.subtract(x, l_new)
+        t = np.divide(y, mu)
+        B -= t  # X - L - Y/mu
+        np.abs(B, out=t)
+        t -= tau
+        np.maximum(t, 0.0, out=t)
+        np.multiply(np.sign(B), t, out=e_new)
+        gap = np.add(l_new, e_new, out=B)
+        gap -= x
+        dl = max(dl, float(np.abs(np.subtract(l_new, L[b], out=t), out=t).max()))
+        de = max(de, float(np.abs(np.subtract(e_new, E[b], out=t), out=t).max()))
+        y += np.multiply(mu, gap, out=t)
+        dg = max(dg, float(np.abs(gap, out=gap).max()))
+        p = np.subtract(x, e_new, out=P[b])
+        p -= np.divide(y, mu_next, out=t)
+    return dl, de, dg
 
 
 @dataclass(frozen=True)

@@ -252,47 +252,45 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_trials_csv(path, rows, header_comment: str | None = None) -> None:
-    """Write (TrialSpec, TrialOutcome) pairs as one CSV row per trial.
+def write_trials_csv(f, rows, header_comment: str | None = None) -> None:
+    """Write (TrialSpec, TrialOutcome) pairs as one CSV row per trial to the text stream ``f``,
+    opened with ``newline=""``.
 
     Wall times are excluded so identical seeds give byte-identical files.
     """
-    with open(path, "w", newline="") as f:
-        if header_comment:
-            f.write(f"# {header_comment}\n")
-        writer = csv.writer(f)
-        writer.writerow(TRIAL_CSV_COLUMNS)
-        for spec, out in rows:
-            writer.writerow(
-                [
-                    _fmt(v)
-                    for v in (
-                        spec.dims.n1,
-                        spec.dims.n2,
-                        spec.dims.n3,
-                        spec.r,
-                        spec.sparsity_model,
-                        spec.sparsity_param,
-                        spec.seed,
-                        out.rank_hat,
-                        out.nnz_hat,
-                        out.rel_err_L,
-                        out.rel_err_E,
-                        out.success,
-                        out.iterations,
-                    )
-                ]
-            )
+    if header_comment:
+        f.write(f"# {header_comment}\n")
+    writer = csv.writer(f)
+    writer.writerow(TRIAL_CSV_COLUMNS)
+    for spec, out in rows:
+        writer.writerow(
+            [
+                _fmt(v)
+                for v in (
+                    spec.dims.n1,
+                    spec.dims.n2,
+                    spec.dims.n3,
+                    spec.r,
+                    spec.sparsity_model,
+                    spec.sparsity_param,
+                    spec.seed,
+                    out.rank_hat,
+                    out.nnz_hat,
+                    out.rel_err_L,
+                    out.rel_err_E,
+                    out.success,
+                    out.iterations,
+                )
+            ]
+        )
 
 
-def write_phase_csv(path, grid: PhaseGrid, header_comment: str | None = None) -> None:
-    """Dense success-fraction matrix: rows are rho_s, columns are r/n."""
-    with open(path, "w", newline="") as f:
-        if header_comment:
-            f.write(f"# {header_comment}\n")
-        writer = csv.writer(f)
-        writer.writerow(["rho_s\\r_frac"] + [_fmt(v) for v in grid.r_fractions])
-        for i, rho in enumerate(grid.rho_values):
-            writer.writerow(
-                [_fmt(rho)] + [_fmt(v) for v in grid.success_fraction[i]]
-            )
+def write_phase_csv(f, grid: PhaseGrid, header_comment: str | None = None) -> None:
+    """Dense success-fraction matrix to the text stream ``f``, opened with ``newline=""``:
+    rows are rho_s, columns are r/n."""
+    if header_comment:
+        f.write(f"# {header_comment}\n")
+    writer = csv.writer(f)
+    writer.writerow(["rho_s\\r_frac"] + [_fmt(v) for v in grid.r_fractions])
+    for i, rho in enumerate(grid.rho_values):
+        writer.writerow([_fmt(rho)] + [_fmt(v) for v in grid.success_fraction[i]])

@@ -23,9 +23,15 @@ inspection of a tensor needs.
 Every batched factorization runs with OpenBLAS pinned to one thread.  One
 work-sharing map, ``_map``, runs independent calls side by side on the calling
 thread and a private pool: above a work floor, ``PARALLEL_FLOOR``,
-``prox.tsvt`` maps its stack in one chunk per core (``_chunks``), and the
-experiment harnesses map their independent solves.  Below the floor, or inside
-a mapped solve, each stack goes to LAPACK in one call.
+``prox.tsvt`` maps its stack in one chunk per core (``_chunks``); from
+``SLAB_FLOOR`` entries on, ``_half_spectrum``, ``_from_half_spectrum`` and the
+solver's elementwise update map a tensor in one row slab per core (``_slabs``),
+each slab in cache-sized blocks of rows;
+and the experiment harnesses map their independent solves.  Below the floors,
+or inside a mapped solve, each stack goes to LAPACK in one call and each
+tensor is one slab.  Chunks and slabs change no bit: LAPACK factors each
+matrix of a stack on its own, numpy's FFT transforms each tube on its own, and
+elementwise work has no order.
 """
 
 from __future__ import annotations
@@ -86,24 +92,45 @@ def dft3(A: np.ndarray) -> np.ndarray:
 def _half_spectrum(A: np.ndarray) -> np.ndarray:
     """Spectral slices 0..n3//2 of A, whose conjugates are the rest, as an (h, n1, n2) stack.
 
-    The stack is a C-contiguous copy, so the full ``dft3`` output is freed before any
-    factorization.  Slice 0 and, for even n3, slice n3/2 are their own conjugates, so they are
-    real; their rounding residue is dropped so that their SVD factors, null spaces included,
-    are real too.  For n3 <= 2 those are all the slices, so the stack is float64.
+    Each block of rows of A goes through ``dft3`` on its own, in one row slab per core
+    (``_slabs``), and writes its half into the C-contiguous stack, so only a block's full
+    spectrum is held at a time.  Slice 0 and, for even n3, slice n3/2 are their own conjugates,
+    so they are real; their rounding residue is dropped so that their SVD factors, null spaces
+    included, are real too.  For n3 <= 2 those are all the slices, so the stack is float64.
     """
-    n3 = A.shape[2]
+    n1, n2, n3 = A.shape
     if n3 == 1:  # the DFT of length 1 is the identity
         return np.moveaxis(np.asarray(A, dtype=np.float64), 2, 0).copy()
-    stack = np.moveaxis(dft3(A)[:, :, : n3 // 2 + 1], 2, 0).copy()
-    stack.imag[[0, n3 // 2] if n3 % 2 == 0 else [0]] = 0.0
-    return stack.real.copy() if n3 == 2 else stack
+    h = n3 // 2 + 1
+    stack = np.empty((h, n1, n2), dtype=np.float64 if n3 == 2 else np.complex128)
+    step = _block_rows(A.shape)
+
+    def half(rows):
+        for i in range(rows.start, rows.stop, step):
+            b = slice(i, min(i + step, rows.stop))
+            spectrum = np.moveaxis(dft3(A[b])[:, :, :h], 2, 0)
+            stack[:, b] = spectrum.real if n3 == 2 else spectrum
+
+    _each(half, _slabs(A.shape))
+    if n3 > 2:
+        stack.imag[[0, n3 // 2] if n3 % 2 == 0 else [0]] = 0.0
+    return stack
 
 
 def _from_half_spectrum(stack: np.ndarray, n3: int) -> np.ndarray:
-    """The real n1 x n2 x n3 tensor whose first spectral slices are ``stack``; at n3 = 1
-    that is the (real) stack itself, which ``irfft`` would return bit for bit, slower."""
+    """The real n1 x n2 x n3 tensor whose first spectral slices are ``stack``, through ``irfft``
+    of each row slab; at n3 = 1 that is the (real) stack itself, which ``irfft`` would return
+    bit for bit, slower."""
     T = np.moveaxis(stack, 0, 2)
-    return np.ascontiguousarray(T if n3 == 1 else np.fft.irfft(T, n=n3, axis=2))
+    if n3 == 1:
+        return np.ascontiguousarray(T)
+    out = np.empty(T.shape[:2] + (n3,))
+
+    def inverse(rows):
+        np.fft.irfft(T[rows], n=n3, axis=2, out=out[rows])
+
+    _each(inverse, _slabs(out.shape))
+    return out
 
 
 def _svd(stack: np.ndarray, compute_uv: bool = True):
@@ -131,12 +158,13 @@ def _svd(stack: np.ndarray, compute_uv: bool = True):
 # own threads, which is slower than one thread.  numpy's linalg and matmul
 # release the GIL, so every factorization runs with OpenBLAS pinned to one
 # thread, and independent calls (the slices of a large stack in contiguous
-# chunks, or whole solves) run on the calling thread and on helpers submitted
-# to the pool.  A map cancels its helpers that have not started by the time its
-# calls run out, so it never waits behind another map's work.  Per matrix
-# the result has the same bits at any chunking, any worker count and any
-# OPENBLAS_NUM_THREADS.  Without the pin there is no split, since each call
-# would then start its own BLAS threads.
+# chunks, the rows of a large tensor in contiguous slabs, or whole solves) run
+# on the calling thread and on helpers submitted to the pool.  A map cancels
+# its helpers that have not started by the time its calls run out, so it never
+# waits behind another map's work.  Per matrix and per tube the result has the
+# same bits at any chunking, any worker count and any OPENBLAS_NUM_THREADS.
+# Without the pin there is no split, since each call would then start its own
+# BLAS threads.
 #
 # The work of a call on an (h, n1, n2) stack is h * min(n1, n2)^2 * max(n1, n2).
 # Below PARALLEL_FLOOR the stack goes to LAPACK in one call.  Median ms per ADMM
@@ -150,6 +178,26 @@ def _svd(stack: np.ndarray, compute_uv: bool = True):
 # (3000000) 11.8 / 9.84 / 7.85.  So below the floor the pin alone is as fast or
 # faster, and the split pays from about 600000 on.
 PARALLEL_FLOOR = 600_000
+
+# Elementwise and tube-by-tube work (the transforms of the half spectrum and the solver's
+# update) goes to the pool in row slabs from SLAB_FLOOR entries on.  Median ms per iteration
+# of a 30-iteration solve of a random n1 x n2 x n3 tensor, one slab / one slab per core, the
+# factorizations chunked alike (12 solves a mode, alternating; 2-vCPU Xeon, OpenBLAS
+# 0.3.31): 24^3 (13824 entries) 3.04 / 3.87, 32^3 (32768) 5.91 / 6.48, 100x100x4 (40000)
+# 9.33 / 9.04, 36^3 (46656) 7.66 / 7.08, 128x128x3 (49152) 9.90 / 9.37, 40^3 (64000)
+# 8.68 / 7.75, 56^3 (175616) 24.3 / 20.4.  So the split pays from about 45000 entries on.
+SLAB_FLOOR = 50_000
+
+# Each slab is worked through in blocks of rows of about _BLOCK entries, so that temporaries
+# stay in cache and small.  Large temporaries made on pool threads would stay in those
+# threads' malloc arenas after they are freed: with whole-slab transforms, three inspections
+# of a 100^3 tensor raised the peak RSS from 88.5 to 96.0 MiB (82.5 MiB in blocks).  The
+# solver's update of a 100^3 tensor in two slabs took 19-21 ms in blocks of 3 rows (2^15
+# entries), 18 ms in blocks of 6 and 25-27 ms in whole slabs; in one slab, 22-27 ms in
+# blocks of 3 rows and 45-60 ms whole (medians of 15 and 10, two runs; 2-vCPU Xeon).  Whole
+# 25-iteration solves ran as fast or faster with 2^15 as with 2^16 at 100^3, 56^3 and
+# 200x200x8.
+_BLOCK = 1 << 15
 
 # worker threads besides the calling one; the pool is made on first use
 _WORKERS = (
@@ -215,12 +263,35 @@ def _in_task() -> bool:
     return getattr(_task, "busy", False)
 
 
+def _split(n: int, above_floor: bool) -> list[slice]:
+    k = min(_WORKERS + 1, n) if above_floor and _openblas() and not _in_task() else 1
+    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
 def _chunks(stack: np.ndarray) -> list[slice]:
     """Contiguous slices of the stack's leading axis, one per core, or the whole axis in one
     slice below ``PARALLEL_FLOOR``, when OpenBLAS cannot be pinned, or inside a map task."""
-    h = stack.shape[0]
-    k = min(_WORKERS + 1, h) if _above_floor(stack) and _openblas() and not _in_task() else 1
-    return [slice(h * i // k, h * (i + 1) // k) for i in range(k)]
+    return _split(stack.shape[0], _above_floor(stack))
+
+
+def _slabs(shape: tuple) -> list[slice]:
+    """Contiguous row slabs (slices of the first axis) of a tensor of this shape, one per core
+    from ``SLAB_FLOOR`` entries on, or all rows in one slab below it, when OpenBLAS cannot be
+    pinned, or inside a map task."""
+    return _split(shape[0], shape[0] * shape[1] * shape[2] >= SLAB_FLOOR)
+
+
+def _block_rows(shape: tuple) -> int:
+    """Rows per block of a tensor of this shape: about ``_BLOCK`` entries, at least one row."""
+    return max(1, _BLOCK // (shape[1] * shape[2]))
+
+
+def _each(fn, slabs: list, *args) -> list:
+    """``[fn(rows, *args) for rows in slabs]``, the slabs shared out through ``_map`` when
+    there are several; a single slab is a plain call."""
+    if len(slabs) == 1:
+        return [fn(slabs[0], *args)]
+    return _map(lambda rows: fn(rows, *args), slabs)
 
 
 def _map(fn, *iterables) -> list:
@@ -231,8 +302,8 @@ def _map(fn, *iterables) -> list:
     or the caller is interrupted, the caller cancels every helper that has not started and
     waits only for those that did, so a busy pool leaves every call to the calling thread.
     While a thread runs a call of a map of two or more calls it is in a task: ``_chunks``
-    gives it one chunk and its nested maps submit no helper.  Without the pin there is no
-    helper.
+    and ``_slabs`` give it one piece and its nested maps submit no helper.  Without the pin
+    there is no helper.
 
     Once a call raises, no further call starts; the first failed call's error is raised
     after every started call has finished, so none is still running when the pin is lifted

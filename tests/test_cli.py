@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trpca import imaging, t_algebra, tensor_core
+from trpca import cli, imaging, synth, t_algebra, tensor_core
 from trpca.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_NUMERICAL, EXIT_OK, main
 from trpca.solver import incoherence_report
 from trpca.synth import TrialSpec, gen_low_rank, gen_sparse_uniform, make_instance
@@ -376,6 +376,50 @@ def test_os_error_exit_2(tmp_path, capsys, args):
     assert main([a.format(tmp=tmp_path) for a in args]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:") and "Traceback" not in err
+
+
+class TestOutputsOpenedFirst:
+    """Output files are opened before anything is computed, and a failed command removes
+    the ones it opened."""
+
+    def test_bad_out_E_leaves_no_L_file(self, tmp_path, capsys):
+        tensor_core.save_tensor(tmp_path / "x.tns3", np.zeros((6, 6, 2)))
+        l_path = tmp_path / "L.tns3"
+        args = ["solve", str(tmp_path / "x.tns3"), "--out-L", str(l_path),
+                "--out-E", str(tmp_path / "missing" / "E.tns3")]
+        assert main(args) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert not l_path.exists()
+
+    def test_failed_solve_leaves_no_output(self, tmp_path, monkeypatch, capsys):
+        tensor_core.save_tensor(tmp_path / "x.tns3", np.zeros((6, 6, 2)))
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cli, "solve", failing)
+        outs = [tmp_path / "L.tns3", tmp_path / "E.tns3"]
+        args = ["solve", str(tmp_path / "x.tns3"), "--out-L", str(outs[0]), "--out-E", str(outs[1])]
+        assert main(args) == EXIT_NUMERICAL
+        assert not any(p.exists() for p in outs)
+
+    @pytest.mark.parametrize("command", ["table1", "phase"])
+    def test_unwritable_out_exits_before_any_solve(self, tmp_path, monkeypatch, capsys, command):
+        calls = []
+        run_trial = synth.run_trial
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return run_trial(*args, **kwargs)
+
+        monkeypatch.setattr(synth, "run_trial", counting)
+        args = [command, "--n", "8", "--n3", "2", "--out", str(tmp_path / "missing" / "o.csv")]
+        assert main(args + (["--grid", "2x2", "--trials", "1"] if command == "phase" else [])) \
+            == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+        assert captured.out == "" and calls == []
 
 
 class TestWorkerCountIndependence:

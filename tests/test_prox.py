@@ -52,6 +52,19 @@ class TestTsvt:
         tau = ta.spectral_norm(Y) + 1e-12
         assert np.allclose(tsvt(Y, tau), 0.0, atol=1e-10)
 
+    @pytest.mark.parametrize("n3", [1, 2, 5, 6])
+    def test_zero_shortcut_factors_nothing(self, rng, monkeypatch, n3):
+        # at tau >= max_k ||Y_k||_F every singular value shrinks to 0: +0.0 entries and no
+        # factorization; just below it (still above sigma_1) the Gram route gives the same bits
+        Y = random_tensor(rng, 6, 4, n3)
+        top = np.linalg.norm(ta._half_spectrum(Y), axis=(1, 2)).max()
+        calls = TestParallelLayer.factorizations(monkeypatch)
+        out = tsvt(Y, top)
+        assert calls == [] and out.shape == Y.shape
+        assert np.array_equal(out, np.zeros(Y.shape)) and not np.signbit(out).any()
+        assert tsvt(Y, top * (1 - 1e-9)).tobytes() == out.tobytes()
+        assert calls == [("eigh", n3 // 2 + 1)]
+
     def test_n3_one_matches_matrix_svt(self, rng):
         Y = random_tensor(rng, 5, 4, 1)
         tau = 0.7

@@ -156,6 +156,44 @@ class TestSolve:
             assert np.abs(E[:, :, 0] - Er).max() <= 1e-10
 
 
+class TestSlabs:
+    """Above ``t_algebra.SLAB_FLOOR`` each iteration's update and transforms run in one row
+    slab per core."""
+
+    @staticmethod
+    def instance():
+        X = gen_low_rank((50, 40, 30), 3, 5) + gen_sparse_uniform((50, 40, 30), 3000, 6)
+        assert X.size >= ta.SLAB_FLOOR
+        return X
+
+    def test_slab_and_block_count_change_no_bit(self, monkeypatch):
+        if not ta._openblas():
+            pytest.skip("numpy's bundled OpenBLAS thread-count functions are not available")
+        X = self.instance()
+        results = []
+        # one or two blocks per slab, then blocks of one row
+        for workers, block in [(0, ta._BLOCK), (1, ta._BLOCK), (2, ta._BLOCK), (1, 1)]:
+            monkeypatch.setattr(ta, "_WORKERS", workers)
+            monkeypatch.setattr(ta, "_BLOCK", block)
+            assert len(ta._slabs(X.shape)) == workers + 1
+            results.append(solve(X))
+        assert results[0].converged
+        for res in results[1:]:
+            assert np.array_equal(res.L, results[0].L) and np.array_equal(res.E, results[0].E)
+            assert res.iterations == results[0].iterations
+            assert res.residual_history == results[0].residual_history
+
+    @pytest.mark.parametrize("shape", [(50, 40, 30), (12, 10, 3)], ids=["slabs", "one_slab"])
+    def test_callback_arrays_are_never_overwritten(self, shape):
+        X = gen_low_rank(shape, 2, 5) + gen_sparse_uniform(shape, int(np.prod(shape)) // 20, 6)
+        seen = []
+        res = solve(X, callback=lambda k, L, E: seen.append((L, E, L.copy(), E.copy())))
+        assert len(seen) == res.iterations > 1
+        for L, E, L_then, E_then in seen:
+            assert np.array_equal(L, L_then) and np.array_equal(E, E_then)
+        assert res.L is seen[-1][0] and res.E is seen[-1][1]
+
+
 @pytest.mark.slow
 class TestPerIterationScaling:
     """Coarse check of the per-iteration cost model

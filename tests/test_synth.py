@@ -162,8 +162,10 @@ class TestCsvOutputs:
         spec = TrialSpec(tc.TensorDims(15, 15, 4), 2, "uniform_m", 50, 4)
         out = run_trial(spec)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_trials_csv(p1, [(spec, out)], header_comment="t")
-        write_trials_csv(p2, [(spec, run_trial(spec))], header_comment="t")
+        with open(p1, "w", newline="") as f:
+            write_trials_csv(f, [(spec, out)], header_comment="t")
+        with open(p2, "w", newline="") as f:
+            write_trials_csv(f, [(spec, run_trial(spec))], header_comment="t")
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_phase_csv_shape(self, tmp_path):
@@ -173,7 +175,8 @@ class TestCsvOutputs:
             success_fraction=np.array([[1.0, 0.5]]),
         )
         path = tmp_path / "g.csv"
-        write_phase_csv(path, grid)
+        with open(path, "w", newline="") as f:
+            write_phase_csv(f, grid)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 2
         assert lines[0].split(",")[1:] == ["0.10000000000000001", "0.20000000000000001"]

@@ -6,7 +6,14 @@ from trpca import tensor_core as tc
 from trpca.prox import tsvt
 from trpca.solver import SolverConfig, incoherence_report, solve
 
-from random_tensors import identity_tensor, is_orthogonal, on_complex_route, random_tensor
+from random_tensors import (
+    complex_from_half_spectrum,
+    complex_half_spectrum,
+    identity_tensor,
+    is_orthogonal,
+    on_complex_route,
+    random_tensor,
+)
 
 
 def naive_dft_tube(tube):
@@ -345,6 +352,32 @@ class TestSpectralLayer:
         B = ta._from_half_spectrum(ta._half_spectrum(A), n3)
         assert B.shape == A.shape
         assert np.allclose(B, A, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n3", [1, 2, 7, 8])
+    def test_slab_count_changes_no_bit(self, rng, monkeypatch, n3):
+        # each tube is transformed on its own, so splitting the rows into slabs and blocks
+        # changes no bit; for
+        # n3 >= 2 the result is also that of transforming the whole tensor at once
+        if not ta._openblas():
+            pytest.skip("numpy's bundled OpenBLAS thread-count functions are not available")
+        A = random_tensor(rng, 9, 5, n3)
+        monkeypatch.setattr(ta, "SLAB_FLOOR", 0)
+        outs = []
+        # one block per slab, then blocks of one row and of two
+        whole_slabs = [(workers, ta._BLOCK) for workers in (0, 1, 2)]
+        for workers, block in whole_slabs + [(0, 1), (1, 10 * n3)]:
+            monkeypatch.setattr(ta, "_WORKERS", workers)
+            monkeypatch.setattr(ta, "_BLOCK", block)
+            assert len(ta._slabs(A.shape)) == workers + 1
+            stack = ta._half_spectrum(A)
+            outs.append((stack, ta._from_half_spectrum(stack, n3)))
+        if n3 >= 2:
+            whole = complex_half_spectrum(A)
+            reference = whole.real if n3 == 2 else whole
+            outs.append((reference, complex_from_half_spectrum(whole, n3)))
+        for stack, back in outs[1:]:
+            assert stack.dtype == outs[0][0].dtype and np.array_equal(stack, outs[0][0])
+            assert np.array_equal(back, outs[0][1]) and back.flags.c_contiguous
 
     def test_failed_singular_value_sweep_is_retried(self, rng, monkeypatch):
         A = random_tensor(rng, 5, 3, 4)
