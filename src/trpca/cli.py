@@ -17,6 +17,8 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -57,17 +59,31 @@ def _build_config(args) -> SolverConfig:
 @contextlib.contextmanager
 def _outputs(mode: str, *paths):
     """Open every output path for writing before the command computes anything, so that a
-    path that cannot be written exits 2 at once.  If opening one fails or the command fails,
-    the files opened here are removed: a failed command leaves no partial output behind."""
-    files = []
+    path that cannot be written exits 2 at once.  A path that is already there (a file, a
+    symlink, a device) keeps its bytes until the command has succeeded, and a regular file
+    is then cut to what was written.  If opening one fails or the command fails, the files
+    created here are removed, so a failed command leaves no partial output behind, and the
+    command's own error is the one raised."""
+    files, created = [], []
     try:
         for path in paths:
-            files.append(open(path, mode, newline=None if "b" in mode else ""))
+            new = not os.path.lexists(path)
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)  # no O_TRUNC, see above
+            files.append(open(fd, mode, newline=None if "b" in mode else ""))
+            if new:
+                created.append(path)
         yield files
+        for f in files:
+            f.flush()
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate()
     except BaseException:
         for f in files:
             f.close()
-            Path(f.name).unlink(missing_ok=True)
+        for path in created:
+            with contextlib.suppress(OSError):
+                if stat.S_ISREG(os.lstat(path).st_mode):
+                    os.unlink(path)
         raise
     finally:
         for f in files:

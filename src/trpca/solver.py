@@ -144,13 +144,11 @@ def solve(X: np.ndarray, config: SolverConfig | None = None, callback=None) -> T
 
 
 def _update(rows, X, L, E, Y, L_new, E_new, P, mu, tau, mu_next) -> tuple:
-    """Steps 2 and 3 of ``solve`` on the rows ``rows``, block by block (``t_algebra._BLOCK``),
+    """Steps 2 and 3 of ``solve`` on the rows ``rows``, block by block (``t_algebra._blocks``),
     with tau = lam/mu: writes E_new, updates Y, then writes the next iteration's step-1
     argument into P.  Returns the rows' three residual maxima."""
-    step = t_algebra._block_rows(X.shape)
     dl = de = dg = 0.0
-    for i in range(rows.start, rows.stop, step):
-        b = slice(i, min(i + step, rows.stop))
+    for b in t_algebra._blocks(rows, X.shape):
         x, l_new, e_new, y = X[b], L_new[b], E_new[b], Y[b]
         B = np.subtract(x, l_new)
         t = np.divide(y, mu)

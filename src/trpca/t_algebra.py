@@ -103,11 +103,9 @@ def _half_spectrum(A: np.ndarray) -> np.ndarray:
         return np.moveaxis(np.asarray(A, dtype=np.float64), 2, 0).copy()
     h = n3 // 2 + 1
     stack = np.empty((h, n1, n2), dtype=np.float64 if n3 == 2 else np.complex128)
-    step = _block_rows(A.shape)
 
     def half(rows):
-        for i in range(rows.start, rows.stop, step):
-            b = slice(i, min(i + step, rows.stop))
+        for b in _blocks(rows, A.shape):
             spectrum = np.moveaxis(dft3(A[b])[:, :, :h], 2, 0)
             stack[:, b] = spectrum.real if n3 == 2 else spectrum
 
@@ -281,9 +279,11 @@ def _slabs(shape: tuple) -> list[slice]:
     return _split(shape[0], shape[0] * shape[1] * shape[2] >= SLAB_FLOOR)
 
 
-def _block_rows(shape: tuple) -> int:
-    """Rows per block of a tensor of this shape: about ``_BLOCK`` entries, at least one row."""
-    return max(1, _BLOCK // (shape[1] * shape[2]))
+def _blocks(rows: slice, shape: tuple) -> list[slice]:
+    """The rows ``rows`` of a tensor of this shape, cut into blocks of about ``_BLOCK`` entries
+    and at least one row each."""
+    step = max(1, _BLOCK // (shape[1] * shape[2]))
+    return [slice(i, min(i + step, rows.stop)) for i in range(rows.start, rows.stop, step)]
 
 
 def _each(fn, slabs: list, *args) -> list:

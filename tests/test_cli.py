@@ -380,7 +380,14 @@ def test_os_error_exit_2(tmp_path, capsys, args):
 
 class TestOutputsOpenedFirst:
     """Output files are opened before anything is computed, and a failed command removes
-    the ones it opened."""
+    the ones it created and leaves any path that was there before as it was."""
+
+    @staticmethod
+    def fail_solve(monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cli, "solve", failing)
 
     def test_bad_out_E_leaves_no_L_file(self, tmp_path, capsys):
         tensor_core.save_tensor(tmp_path / "x.tns3", np.zeros((6, 6, 2)))
@@ -394,15 +401,48 @@ class TestOutputsOpenedFirst:
 
     def test_failed_solve_leaves_no_output(self, tmp_path, monkeypatch, capsys):
         tensor_core.save_tensor(tmp_path / "x.tns3", np.zeros((6, 6, 2)))
-
-        def failing(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge")
-
-        monkeypatch.setattr(cli, "solve", failing)
+        self.fail_solve(monkeypatch)
         outs = [tmp_path / "L.tns3", tmp_path / "E.tns3"]
         args = ["solve", str(tmp_path / "x.tns3"), "--out-L", str(outs[0]), "--out-E", str(outs[1])]
         assert main(args) == EXIT_NUMERICAL
         assert not any(p.exists() for p in outs)
+
+    def test_failed_solve_leaves_existing_paths_alone(self, tmp_path, monkeypatch, capsys):
+        # an output that was there before, a file or a symlink, is neither removed nor cut
+        tensor_core.save_tensor(tmp_path / "x.tns3", np.zeros((6, 6, 2)))
+        target = tmp_path / "target"
+        target.write_bytes(b"old L")
+        link = tmp_path / "L.tns3"
+        link.symlink_to(target)
+        e_path = tmp_path / "E.tns3"
+        e_path.write_bytes(b"old E")
+        self.fail_solve(monkeypatch)
+        args = ["solve", str(tmp_path / "x.tns3"), "--out-L", str(link), "--out-E", str(e_path)]
+        assert main(args) == EXIT_NUMERICAL
+        assert link.is_symlink() and target.read_bytes() == b"old L"
+        assert e_path.read_bytes() == b"old E"
+
+    def test_clean_up_error_keeps_the_command_error(self, tmp_path, monkeypatch, capsys):
+        tensor_core.save_tensor(tmp_path / "x.tns3", np.zeros((6, 6, 2)))
+        self.fail_solve(monkeypatch)
+
+        def refused(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(os, "unlink", refused)
+        args = ["solve", str(tmp_path / "x.tns3"), "--out-L", str(tmp_path / "L.tns3"),
+                "--out-E", str(tmp_path / "E.tns3")]
+        assert main(args) == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_success_cuts_a_longer_file_and_writes_to_a_device(self, tmp_path, capsys):
+        tensor_core.save_tensor(tmp_path / "x.tns3", np.zeros((6, 6, 2)))
+        fresh, old = tmp_path / "fresh.tns3", tmp_path / "old.tns3"
+        old.write_bytes(b"x" * 10_000)
+        for out in (fresh, old):
+            args = ["solve", str(tmp_path / "x.tns3"), "--out-L", str(out), "--out-E", os.devnull]
+            assert main(args) == EXIT_OK
+        assert old.read_bytes() == fresh.read_bytes()
 
     @pytest.mark.parametrize("command", ["table1", "phase"])
     def test_unwritable_out_exits_before_any_solve(self, tmp_path, monkeypatch, capsys, command):
