@@ -3,9 +3,9 @@
 Subcommands: ``tsvd`` (inspect a tensor file), ``solve`` (decompose a
 tensor), ``table1`` (seeded exact-recovery trials), ``phase`` (rank vs
 sparsity phase grid), ``denoise`` (image recovery).  Exit codes: 0 on
-success, 2 on bad input or a file that cannot be read or written, 3 when the
-solver hits the iteration cap, 4 on a numerical failure (a spectral
-factorization that LAPACK cannot compute).
+success, 2 on bad input, a file that cannot be read or written, or two
+outputs that name one file, 3 when the solver hits the iteration cap, 4 on
+a numerical failure (a spectral factorization that LAPACK cannot compute).
 Every randomized command prints its seed, and identical seeds reproduce file
 outputs byte for byte.
 """
@@ -57,32 +57,44 @@ def _build_config(args) -> SolverConfig:
 
 
 @contextlib.contextmanager
-def _outputs(mode: str, *paths):
-    """Open every output path for writing before the command computes anything, so that a
-    path that cannot be written exits 2 at once.  A path that is already there (a file, a
-    symlink, a device) keeps its bytes until the command has succeeded, and a regular file
-    is then cut to what was written.  If opening one fails or the command fails, the files
-    created here are removed, so a failed command leaves no partial output behind, and the
+def _outputs(*outputs):
+    """Open every output, a ``(path, mode)`` pair, for writing before the command computes
+    anything, so that a path that cannot be written, or two paths naming one regular file,
+    exit 2 at once.  Every command opens all its output files in one call here.  A path that
+    is already there (a file, a symlink, a device) keeps its bytes until the command has
+    succeeded, and a regular file is then cut to what was written.  A mode with ``"a"``
+    opens with ``O_APPEND``, so that every write lands at the end as it is then, also when
+    another process appends to the same file, and such a file is never cut.  If opening one
+    fails or the command fails, the files created here are removed (an appended one only
+    while it is still empty), so a failed command leaves no partial output behind, and the
     command's own error is the one raised."""
-    files, created = [], []
+    files, created, regular = [], [], {}
     try:
-        for path in paths:
+        for path, mode in outputs:
             new = not os.path.lexists(path)
-            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)  # no O_TRUNC, see above
+            flags = os.O_WRONLY | os.O_CREAT | (os.O_APPEND if "a" in mode else 0)
+            fd = os.open(path, flags, 0o666)  # no O_TRUNC, see above
             files.append(open(fd, mode, newline=None if "b" in mode else ""))
             if new:
-                created.append(path)
+                created.append((path, "a" in mode))
+            st = os.fstat(fd)
+            if stat.S_ISREG(st.st_mode):
+                key = (st.st_dev, st.st_ino)
+                if key in regular:
+                    raise InputError(f"outputs {regular[key]} and {path} are the same file")
+                regular[key] = path
         yield files
-        for f in files:
+        for f, (_, mode) in zip(files, outputs):
             f.flush()
-            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            if "a" not in mode and stat.S_ISREG(os.fstat(f.fileno()).st_mode):
                 f.truncate()
     except BaseException:
         for f in files:
             f.close()
-        for path in created:
+        for path, append in created:
             with contextlib.suppress(OSError):
-                if stat.S_ISREG(os.lstat(path).st_mode):
+                st = os.lstat(path)
+                if stat.S_ISREG(st.st_mode) and not (append and st.st_size):
                     os.unlink(path)
         raise
     finally:
@@ -124,7 +136,7 @@ def cmd_tsvd(args) -> int:
 def cmd_solve(args) -> int:
     X = _load_tensor(args.input)
     config = _build_config(args)
-    with _outputs("wb", args.out_L, args.out_E) as (f_L, f_E):
+    with _outputs((args.out_L, "wb"), (args.out_E, "wb")) as (f_L, f_E):
         result = solve(X, config)
         tensor_core.write_tensor(f_L, result.L)
         tensor_core.write_tensor(f_E, result.E)
@@ -170,7 +182,7 @@ def cmd_table1(args) -> int:
         )
         for s in range(args.seeds)
     ]
-    with _outputs("w", args.out) as (f,):
+    with _outputs((args.out, "w")) as (f,):
         print(f"seed: {args.seed}  n={n} n3={n3} r={r} m={m} seeds={args.seeds}")
         # the seeds are independent solves, run side by side; rows follow in seed order
         rows = list(zip(specs, t_algebra._map(lambda spec: synth.run_trial(spec, config), specs)))
@@ -204,7 +216,7 @@ def cmd_phase(args) -> int:
     config = _build_config(args)
     r_fracs = [round(v, 10) for v in np.linspace(args.lo, args.hi, nr)]
     rho_list = [round(v, 10) for v in np.linspace(args.lo, args.hi, nrho)]
-    with _outputs("w", args.out) as (f,):
+    with _outputs((args.out, "w")) as (f,):
         print(
             f"seed: {args.seed}  n={args.n} n3={args.n3} grid={nr}x{nrho} "
             f"range=[{args.lo}, {args.hi}] trials={args.trials}"
@@ -250,44 +262,41 @@ def _load_image_input(path: Path) -> imaging.ImageStack:
 
 
 def cmd_denoise(args) -> int:
+    """Corrupt and recover an image or a directory of PGM frames.  The images and the report
+    are opened in one ``_outputs`` call before the solve: a colour image gives ``{name}_L.ppm``,
+    ``{name}_E.ppm`` and ``{name}_mask.ppm``, a grayscale stack one ``{name}_L_{k:03d}.pgm``
+    per frame and ``{name}_mask_000.pgm``.  One row is appended to ``denoise_report.csv``,
+    with a header only when the report is empty as the row is written."""
     stack = _load_image_input(Path(args.input))
     config = _build_config(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    print(f"seed: {args.seed}  fraction={args.fraction}")
-    report, L, E, mask = imaging.denoise(
-        stack, args.fraction, args.seed, config, baseline=args.baseline
-    )
-    recovered = imaging.tensor_to_stack(L, color=stack.color)
-    sparse = imaging.tensor_to_stack(np.abs(E), color=stack.color)
-    mask_stack = imaging.ImageStack(
-        frames=(mask.astype(np.uint8) * 255), color=stack.color
-    )
     name = Path(args.input).stem or "stack"
     if stack.color:
-        imaging.write_netpbm(out_dir / f"{name}_L.ppm", recovered)
-        imaging.write_netpbm(out_dir / f"{name}_E.ppm", sparse)
-        imaging.write_netpbm(out_dir / f"{name}_mask.ppm", mask_stack)
+        names = [f"{name}_L.ppm", f"{name}_E.ppm", f"{name}_mask.ppm"]
     else:
-        for k in range(stack.n_frames):
-            imaging.write_netpbm(
-                out_dir / f"{name}_L_{k:03d}.pgm",
-                imaging.ImageStack(frames=recovered.frames[:, :, k : k + 1]),
-            )
-        imaging.write_netpbm(
-            out_dir / f"{name}_mask_000.pgm",
-            imaging.ImageStack(frames=mask_stack.frames[:, :, 0:1]),
+        names = [f"{name}_L_{k:03d}.pgm" for k in range(stack.n_frames)] + [f"{name}_mask_000.pgm"]
+    outputs = [(out_dir / n, "wb") for n in names] + [(out_dir / "denoise_report.csv", "a")]
+    with _outputs(*outputs) as (*images, f):
+        print(f"seed: {args.seed}  fraction={args.fraction}")
+        report, L, E, mask = imaging.denoise(
+            stack, args.fraction, args.seed, config, baseline=args.baseline
         )
-    csv_path = out_dir / "denoise_report.csv"
-    new_file = not csv_path.exists()
-    with open(csv_path, "a", newline="") as f:
-        if new_file:
-            f.write("file,fraction,seed,psnr_trpca,psnr_baseline,iterations\n")
+        recovered = imaging.tensor_to_stack(L, color=stack.color)
+        mask_frames = mask.astype(np.uint8) * 255
+        if stack.color:
+            sparse = imaging.tensor_to_stack(np.abs(E), color=True)
+            pictures = [recovered, sparse, imaging.ImageStack(mask_frames, color=True)]
+        else:
+            pictures = [imaging.ImageStack(recovered.frames[:, :, k : k + 1])
+                        for k in range(stack.n_frames)] + [imaging.ImageStack(mask_frames[:, :, :1])]
+        for image, picture in zip(images, pictures):
+            imaging.write_netpbm(image, picture)
         base = "" if report.psnr_baseline is None else format(report.psnr_baseline, ".17g")
-        f.write(
-            f"{Path(args.input).name},{args.fraction},{args.seed},"
-            f"{format(report.psnr_trpca, '.17g')},{base},{report.solver_iterations}\n"
-        )
+        row = (f"{Path(args.input).name},{args.fraction},{args.seed},"
+               f"{format(report.psnr_trpca, '.17g')},{base},{report.solver_iterations}\n")
+        header = "file,fraction,seed,psnr_trpca,psnr_baseline,iterations\n"
+        f.write(header + row if os.fstat(f.fileno()).st_size == 0 else row)
     print(f"psnr_trpca: {report.psnr_trpca:.4f} dB")
     if report.psnr_baseline is not None:
         print(f"psnr_baseline: {report.psnr_baseline:.4f} dB")

@@ -122,8 +122,9 @@ def read_netpbm(path) -> ImageStack:
     return ImageStack(frames=np.ascontiguousarray(pixels), color=color)
 
 
-def write_netpbm(path, stack: ImageStack) -> None:
-    """Write a color stack as binary PPM, a single frame as binary PGM."""
+def write_netpbm(f, stack: ImageStack) -> None:
+    """Write a color stack as binary PPM, a single frame as binary PGM, to the binary
+    stream ``f``."""
     if stack.color:
         header = f"P6\n{stack.width} {stack.height}\n255\n"
         raster = stack.frames
@@ -132,9 +133,8 @@ def write_netpbm(path, stack: ImageStack) -> None:
             raise ValueError("PGM output requires a single-frame stack")
         header = f"P5\n{stack.width} {stack.height}\n255\n"
         raster = stack.frames[:, :, 0]
-    with open(path, "wb") as f:
-        f.write(header.encode("ascii"))
-        f.write(np.ascontiguousarray(raster).tobytes())
+    f.write(header.encode("ascii"))
+    f.write(np.ascontiguousarray(raster).tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ eigendecomposition of the slices' Gram matrices (Cai & Osher, "Fast singular
 value thresholding without singular value decomposition", 2013), and from
 a batched SVD when squaring the slices would lose accuracy (see
 ``GRAM_RATIO``); above ``t_algebra.PARALLEL_FLOOR`` each batch is one chunk
-of the slices per core.  ``soft_threshold`` is the prox of the elementwise l1 norm.
+of the slices per core.  ``soft_threshold`` is the prox of the elementwise l1 norm; it and
+the solver's fused update both shrink through ``_shrink``.
 
 Under the unnormalized-forward / 1/n3-inverse DFT convention, the per-slice
 shrinkage threshold equals tau itself: the 1/n3 in the nuclear norm
@@ -114,4 +115,13 @@ def soft_threshold(Y: np.ndarray, tau: float) -> np.ndarray:
     if not tau > 0:  # NaN too
         raise ValueError(f"tau must be positive, got {tau}")
     Y = np.asarray(Y, dtype=np.float64)
-    return np.sign(Y) * np.maximum(np.abs(Y) - tau, 0.0)
+    return _shrink(Y, tau, np.empty_like(Y))
+
+
+def _shrink(B: np.ndarray, tau: float, out: np.ndarray) -> np.ndarray:
+    """sign(B) * max(|B| - tau, 0) into ``out``, which must not overlap ``B``."""
+    np.abs(B, out=out)
+    out -= tau
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(B)
+    return out

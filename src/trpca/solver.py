@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import t_algebra
-from .prox import tsvt
+from .prox import _shrink, tsvt
 from .tensor_core import TensorDims, as_tensor, norm_inf
 
 __all__ = [
@@ -153,10 +153,7 @@ def _update(rows, X, L, E, Y, L_new, E_new, P, mu, tau, mu_next) -> tuple:
         B = np.subtract(x, l_new)
         t = np.divide(y, mu)
         B -= t  # X - L - Y/mu
-        np.abs(B, out=t)
-        t -= tau
-        np.maximum(t, 0.0, out=t)
-        np.multiply(np.sign(B), t, out=e_new)
+        _shrink(B, tau, e_new)
         gap = np.add(l_new, e_new, out=B)
         gap -= x
         dl = max(dl, float(np.abs(np.subtract(l_new, L[b], out=t), out=t).max()))

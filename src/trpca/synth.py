@@ -256,33 +256,16 @@ def write_trials_csv(f, rows, header_comment: str | None = None) -> None:
     """Write (TrialSpec, TrialOutcome) pairs as one CSV row per trial to the text stream ``f``,
     opened with ``newline=""``.
 
-    Wall times are excluded so identical seeds give byte-identical files.
+    Each row takes the ``TRIAL_CSV_COLUMNS`` by name from the spec, its dims and the outcome.
+    Wall times are not among them, so identical seeds give byte-identical files.
     """
     if header_comment:
         f.write(f"# {header_comment}\n")
     writer = csv.writer(f)
     writer.writerow(TRIAL_CSV_COLUMNS)
     for spec, out in rows:
-        writer.writerow(
-            [
-                _fmt(v)
-                for v in (
-                    spec.dims.n1,
-                    spec.dims.n2,
-                    spec.dims.n3,
-                    spec.r,
-                    spec.sparsity_model,
-                    spec.sparsity_param,
-                    spec.seed,
-                    out.rank_hat,
-                    out.nnz_hat,
-                    out.rel_err_L,
-                    out.rel_err_E,
-                    out.success,
-                    out.iterations,
-                )
-            ]
-        )
+        values = {**spec.dims._asdict(), **vars(spec), **vars(out)}
+        writer.writerow([_fmt(values[c]) for c in TRIAL_CSV_COLUMNS])
 
 
 def write_phase_csv(f, grid: PhaseGrid, header_comment: str | None = None) -> None:

@@ -5,7 +5,7 @@ importable from every test module (unlike ``conftest``, whose name
 import numpy as np
 import pytest
 
-from trpca import prox
+from trpca import imaging, prox
 from trpca import t_algebra as ta
 
 
@@ -36,6 +36,12 @@ def basis_column(i, n, n3):
     e = np.zeros((n, 1, n3))
     e[i, 0, 0] = 1.0
     return e
+
+
+def save_netpbm(path, stack):
+    """Write ``stack`` to the Netpbm file ``path``."""
+    with open(path, "wb") as f:
+        imaging.write_netpbm(f, stack)
 
 
 def complex_half_spectrum(A):

@@ -13,6 +13,7 @@ from trpca.prox import soft_threshold, tsvt
 from trpca.solver import SolverConfig, default_lambda, solve
 from trpca.synth import TrialSpec, gen_low_rank, phase_grid, run_trial
 
+from random_tensors import save_netpbm
 from test_prox import scalar_prox_oracle, tnn_objective
 from test_solver import matrix_rpca_reference
 
@@ -307,7 +308,7 @@ class TestCriterion8Determinism:
         # denoise (image + csv outputs)
         stack = imaging.tensor_to_stack(make_test_image(3, h=20, w=20), color=True)
         img = tmp_path / "img.ppm"
-        imaging.write_netpbm(img, stack)
+        save_netpbm(img, stack)
         d_args = ["denoise", str(img), "--fraction", "0.1", "--seed", "2"]
         d1, d2 = tmp_path / "d1", tmp_path / "d2"
         assert main(d_args + ["--out-dir", str(d1)]) == 0

@@ -13,7 +13,7 @@ from trpca.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_NUMERICAL, EXIT_OK, 
 from trpca.solver import incoherence_report
 from trpca.synth import TrialSpec, gen_low_rank, gen_sparse_uniform, make_instance
 
-from random_tensors import identity_tensor
+from random_tensors import identity_tensor, save_netpbm
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -348,7 +348,7 @@ class TestExperimentFlagValidation:
                                              ("--seed", "-1")])
     def test_denoise_flag_checked_before_any_output(self, tmp_path, capsys, flag, value):
         img = tmp_path / "img.ppm"
-        imaging.write_netpbm(img, imaging.ImageStack(np.full((6, 5, 3), 90, np.uint8), True))
+        save_netpbm(img, imaging.ImageStack(np.full((6, 5, 3), 90, np.uint8), True))
         out_dir = tmp_path / "out"
         assert main(["denoise", str(img), flag, value, "--out-dir", str(out_dir)]) == EXIT_INPUT
         captured = capsys.readouterr()
@@ -371,7 +371,7 @@ def test_os_error_exit_2(tmp_path, capsys, args):
     # a path the command cannot read or write
     (tmp_path / "frames" / "a.pgm").mkdir(parents=True)
     image = imaging.ImageStack(np.full((6, 5, 3), 90, np.uint8), True)
-    imaging.write_netpbm(tmp_path / "img.ppm", image)
+    save_netpbm(tmp_path / "img.ppm", image)
     tensor_core.save_tensor(tmp_path / "x.tns3", np.zeros((6, 6, 2)))
     assert main([a.format(tmp=tmp_path) for a in args]) == EXIT_INPUT
     err = capsys.readouterr().err
@@ -383,11 +383,11 @@ class TestOutputsOpenedFirst:
     the ones it created and leaves any path that was there before as it was."""
 
     @staticmethod
-    def fail_solve(monkeypatch):
+    def fail_solve(monkeypatch, module=cli):
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(cli, "solve", failing)
+        monkeypatch.setattr(module, "solve", failing)
 
     def test_bad_out_E_leaves_no_L_file(self, tmp_path, capsys):
         tensor_core.save_tensor(tmp_path / "x.tns3", np.zeros((6, 6, 2)))
@@ -444,22 +444,83 @@ class TestOutputsOpenedFirst:
             assert main(args) == EXIT_OK
         assert old.read_bytes() == fresh.read_bytes()
 
-    @pytest.mark.parametrize("command", ["table1", "phase"])
+    @pytest.mark.parametrize("command", ["table1", "phase", "denoise", "denoise_frames"])
     def test_unwritable_out_exits_before_any_solve(self, tmp_path, monkeypatch, capsys, command):
         calls = []
-        run_trial = synth.run_trial
+        denoise = command.startswith("denoise")
+        module, name = (imaging, "denoise") if denoise else (synth, "run_trial")
+        original = getattr(module, name)
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return run_trial(*args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(synth, "run_trial", counting)
-        args = [command, "--n", "8", "--n3", "2", "--out", str(tmp_path / "missing" / "o.csv")]
-        assert main(args + (["--grid", "2x2", "--trials", "1"] if command == "phase" else [])) \
-            == EXIT_INPUT
+        monkeypatch.setattr(module, name, counting)
+        # denoise: a directory where the E image of a colour image goes, or where the mask of
+        # a grayscale stack goes, opened after the L images
+        save_netpbm(tmp_path / "img.ppm", imaging.ImageStack(np.full((6, 5, 3), 90, np.uint8), True))
+        (tmp_path / "frames").mkdir()
+        for k in range(3):
+            save_netpbm(tmp_path / "frames" / f"f{k}.pgm",
+                        imaging.ImageStack(np.full((6, 5, 1), 40 * k, np.uint8)))
+        out_dir = tmp_path / "out"
+        blocked = ["frames_mask_000.pgm", "img_E.ppm"]
+        for name in blocked:
+            (out_dir / name).mkdir(parents=True)
+        args = {
+            "table1": ["table1", "--n", "8", "--n3", "2", "--out", "{tmp}/missing/o.csv"],
+            "phase": ["phase", "--n", "8", "--n3", "2", "--grid", "2x2", "--trials", "1",
+                      "--out", "{tmp}/missing/o.csv"],
+            "denoise": ["denoise", "{tmp}/img.ppm", "--out-dir", "{tmp}/out"],
+            "denoise_frames": ["denoise", "{tmp}/frames", "--out-dir", "{tmp}/out"],
+        }[command]
+        assert main([a.format(tmp=tmp_path) for a in args]) == EXIT_INPUT
         captured = capsys.readouterr()
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
         assert captured.out == "" and calls == []
+        assert sorted(p.name for p in out_dir.iterdir()) == blocked
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
+    def test_failed_denoise_leaves_no_output(self, tmp_path, monkeypatch, capsys, existing):
+        # no image and no report is created; an image or report that was there keeps its bytes
+        save_netpbm(tmp_path / "img.ppm", imaging.ImageStack(np.full((6, 5, 3), 90, np.uint8), True))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        before = {"denoise_report.csv": b"file,old\n", "img_L.ppm": b"old L"} if existing else {}
+        for name, data in before.items():
+            (out_dir / name).write_bytes(data)
+        self.fail_solve(monkeypatch, imaging)
+        args = ["denoise", str(tmp_path / "img.ppm"), "--baseline", "--out-dir", str(out_dir)]
+        assert main(args) == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+    def test_two_outputs_naming_one_file_exit_2(self, tmp_path, capsys):
+        # a new path is not left behind, an existing file keeps its bytes, a device may repeat
+        tensor_core.save_tensor(tmp_path / "x.tns3", np.zeros((6, 6, 2)))
+        new, old, link = tmp_path / "new.tns3", tmp_path / "old.tns3", tmp_path / "link.tns3"
+        old.write_bytes(b"old")
+        link.symlink_to(old)
+        for out_L, out_E in [(new, new), (old, old), (old, link)]:
+            args = ["solve", str(tmp_path / "x.tns3"), "--out-L", str(out_L), "--out-E", str(out_E)]
+            assert main(args) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert "same file" in captured.err and captured.out == ""
+        assert not new.exists() and old.read_bytes() == b"old"
+        args = ["solve", str(tmp_path / "x.tns3"), "--out-L", os.devnull, "--out-E", os.devnull]
+        assert main(args) == EXIT_OK
+        capsys.readouterr()
+        # denoise opens its images and its report in one call, so an image may not be the report
+        save_netpbm(tmp_path / "img.ppm", imaging.ImageStack(np.full((6, 5, 3), 90, np.uint8), True))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / "denoise_report.csv").write_bytes(b"file,old\n")
+        (out_dir / "img_L.ppm").symlink_to("denoise_report.csv")
+        assert main(["denoise", str(tmp_path / "img.ppm"), "--out-dir", str(out_dir)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "same file" in captured.err and captured.out == ""
+        assert sorted(p.name for p in out_dir.iterdir()) == ["denoise_report.csv", "img_L.ppm"]
+        assert (out_dir / "denoise_report.csv").read_bytes() == b"file,old\n"
 
 
 class TestWorkerCountIndependence:
@@ -494,7 +555,7 @@ class TestWorkerCountIndependence:
         L = gen_low_rank((24, 20, 3), 2, 4)
         L = 0.05 + 0.9 * (L - L.min()) / (L.max() - L.min())
         img = tmp_path / "img.ppm"
-        imaging.write_netpbm(img, imaging.tensor_to_stack(L, color=True))
+        save_netpbm(img, imaging.tensor_to_stack(L, color=True))
         args = ["denoise", str(img), "--fraction", "0.1", "--seed", "6", "--baseline",
                 "--out-dir", "OUT"]
         names = ["img_L.ppm", "img_E.ppm", "img_mask.ppm", "denoise_report.csv"]
@@ -556,7 +617,7 @@ class TestDenoiseCommand:
         L = 0.05 + 0.9 * (L - L.min()) / (L.max() - L.min())
         stack = imaging.tensor_to_stack(L, color=True)
         path = tmp_path / "img.ppm"
-        imaging.write_netpbm(path, stack)
+        save_netpbm(path, stack)
         return path
 
     def test_color_with_baseline(self, tmp_path, capsys):
@@ -600,7 +661,7 @@ class TestDenoiseCommand:
         stack_dir = tmp_path / "frames"
         stack_dir.mkdir()
         for k in range(4):
-            imaging.write_netpbm(
+            save_netpbm(
                 stack_dir / f"f{k}.pgm", imaging.ImageStack(frames=frame[:, :, None])
             )
         out_dir = tmp_path / "out"
@@ -619,6 +680,33 @@ class TestDenoiseCommand:
         assert code == EXIT_OK
         assert (out_dir / "frames_L_000.pgm").exists()
         assert (out_dir / "frames_L_003.pgm").exists()
+
+    @pytest.mark.parametrize("first_fails", [False, True], ids=["both_succeed", "first_fails"])
+    def test_overlapping_runs_append_two_rows_under_one_header(
+            self, tmp_path, monkeypatch, capsys, first_fails):
+        # the second run starts, and finishes, while the first one solves, as two runs started
+        # together into one --out-dir do; neither row may overwrite the other, and a failing
+        # first run, which created the report, does not remove the second run's row
+        img = self._write_color_image(tmp_path, h=12, w=12)
+        other = tmp_path / "other.ppm"
+        other.write_bytes(img.read_bytes())
+        out_dir = tmp_path / "out"
+        original = imaging.denoise
+
+        def overlapping(*args, **kwargs):
+            monkeypatch.setattr(imaging, "denoise", original)
+            assert main(["denoise", str(other), "--seed", "2", "--out-dir", str(out_dir)]) == EXIT_OK
+            if first_fails:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(imaging, "denoise", overlapping)
+        code = main(["denoise", str(img), "--seed", "1", "--out-dir", str(out_dir)])
+        assert code == (EXIT_NUMERICAL if first_fails else EXIT_OK)
+        lines = (out_dir / "denoise_report.csv").read_text().splitlines()
+        assert lines[0] == "file,fraction,seed,psnr_trpca,psnr_baseline,iterations"
+        rows = [["other.ppm", "0.1", "2"]] + ([] if first_fails else [["img.ppm", "0.1", "1"]])
+        assert [line.split(",")[:3] for line in lines[1:]] == rows
 
     def test_unsupported_format_exit_2(self, tmp_path):
         bad = tmp_path / "img.png"

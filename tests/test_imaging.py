@@ -5,6 +5,8 @@ from trpca import imaging, t_algebra
 from trpca.solver import SolverConfig
 from trpca.synth import gen_low_rank
 
+from random_tensors import save_netpbm
+
 
 def make_color_stack(rng, h=16, w=16):
     return imaging.ImageStack(
@@ -26,7 +28,7 @@ class TestNetpbm:
     def test_ppm_round_trip(self, rng, tmp_path):
         stack = make_color_stack(rng)
         path = tmp_path / "img.ppm"
-        imaging.write_netpbm(path, stack)
+        save_netpbm(path, stack)
         back = imaging.read_netpbm(path)
         assert back.color
         assert np.array_equal(back.frames, stack.frames)
@@ -35,7 +37,7 @@ class TestNetpbm:
         frames = rng.integers(0, 256, size=(5, 7, 1), dtype=np.uint8)
         stack = imaging.ImageStack(frames=frames)
         path = tmp_path / "img.pgm"
-        imaging.write_netpbm(path, stack)
+        save_netpbm(path, stack)
         back = imaging.read_netpbm(path)
         assert not back.color
         assert np.array_equal(back.frames, frames)
