@@ -6,10 +6,12 @@ is complex for n3 >= 3 and real for n3 <= 2.  It takes the shrinkage of
 every slice from a batched Hermitian (for a real stack, symmetric)
 eigendecomposition of the slices' Gram matrices (Cai & Osher, "Fast singular
 value thresholding without singular value decomposition", 2013), and from
-a batched SVD when squaring the slices would lose accuracy (see
-``GRAM_RATIO``); above ``t_algebra.PARALLEL_FLOOR`` each batch is one chunk
-of the slices per core.  ``soft_threshold`` is the prox of the elementwise l1 norm; it and
-the solver's fused update both shrink through ``_shrink``.
+``t_algebra._svd``, the one batched SVD of a half spectrum, when squaring
+the slices would lose accuracy (see ``GRAM_RATIO``); above
+``t_algebra.PARALLEL_FLOOR`` either route factors and rebuilds in one chunk
+of the slices per core, the SVD in blocks of slices within a chunk.
+``soft_threshold`` is the prox of the elementwise l1 norm; it and the
+solver's fused update both shrink through ``_shrink``.
 
 Under the unnormalized-forward / 1/n3-inverse DFT convention, the per-slice
 shrinkage threshold equals tau itself: the 1/n3 in the nuclear norm
@@ -64,17 +66,15 @@ def tsvt(Y: np.ndarray, tau: float) -> np.ndarray:
             return _from_half_spectrum(_gram_svt(stack, tau), Y.shape[2])
         except np.linalg.LinAlgError:
             pass  # eigh did not converge; the SVD, with its own retry, decides
-    chunks = _chunks(stack)
-    factors = _map(lambda c: _svd(stack[c]), chunks)
-    shrunk = [np.maximum(s - tau, 0.0) for _, s, _ in factors]
-    r = max(int(np.count_nonzero(s, axis=1).max()) for s in shrunk)
+    U, s, Vh = _svd(stack)
+    s = np.maximum(s - tau, 0.0)
+    r = int(np.count_nonzero(s, axis=1).max())
 
-    def rebuild(c, usv, s):
-        U, _, Vh = usv
-        np.matmul(U[:, :, :r] * s[:, None, :r], Vh[:, :r, :], out=stack[c])
+    def rebuild(c):
+        np.matmul(U[c, :, :r] * s[c, None, :r], Vh[c, :r, :], out=stack[c])
 
     # the factors replace the stack, so the stack takes the result
-    _map(rebuild, chunks, factors, shrunk)
+    _map(rebuild, _chunks(stack))
     return _from_half_spectrum(stack, Y.shape[2])
 
 

@@ -199,7 +199,8 @@ def _incoherence(U: np.ndarray, Vh: np.ndarray, n3: int) -> IncoherenceReport:
     max_u_sq = float((Ut**2).sum(axis=(1, 2)).max())
     max_v_sq = float((Vt**2).sum(axis=(1, 2)).max())
     # U * V^T is the slicewise product U_k V_k^H of the spectral factors
-    uv_inf = norm_inf(t_algebra._from_half_spectrum(U @ Vh, n3))
+    with t_algebra._one_blas_thread():
+        uv_inf = norm_inf(t_algebra._from_half_spectrum(U @ Vh, n3))
     return IncoherenceReport(
         mu_u=n1 * n3 / r * max_u_sq,
         mu_v=n2 * n3 / r * max_v_sq,

@@ -10,7 +10,7 @@ For real inputs the spectrum is conjugate-symmetric across frontal slices
 (slice k pairs with slice n3-k, 0-based), so only the first ``n3 // 2 + 1``
 slices carry information.  One set of private helpers holds that layer:
 ``_half_spectrum`` copies those slices of ``dft3`` into an ``(h, n1, n2)``
-array, ``_svd`` factors the whole stack in one batched call, and
+array, ``_svd`` is the one batched SVD of such a stack, and
 ``_from_half_spectrum`` returns to a real tensor through ``irfft``, whose
 output is real by construction.  For n3 <= 2 every kept slice is its own
 conjugate, so the stack is float64 and every consumer runs real LAPACK and
@@ -20,18 +20,18 @@ The t-product, the t-SVD and ``prox.tsvt`` go through them (``tsvt`` uses
 ``_svd`` call out as all the ranks, norms and rank-r factors that an
 inspection of a tensor needs.
 
-Every batched factorization runs with OpenBLAS pinned to one thread.  One
+Every batched BLAS or LAPACK call runs with OpenBLAS pinned to one thread.  One
 work-sharing map, ``_map``, runs independent calls side by side on the calling
-thread and a private pool: above a work floor, ``PARALLEL_FLOOR``,
-``prox.tsvt`` maps its stack in one chunk per core (``_chunks``); from
-``SLAB_FLOOR`` entries on, ``_half_spectrum``, ``_from_half_spectrum`` and the
-solver's elementwise update map a tensor in one row slab per core (``_slabs``),
-each slab in cache-sized blocks of rows;
-and the experiment harnesses map their independent solves.  Below the floors,
-or inside a mapped solve, each stack goes to LAPACK in one call and each
-tensor is one slab.  Chunks and slabs change no bit: LAPACK factors each
-matrix of a stack on its own, numpy's FFT transforms each tube on its own, and
-elementwise work has no order.
+thread and a private pool: above a work floor, ``PARALLEL_FLOOR``, ``_svd`` and
+the Gram route of ``prox.tsvt`` map a stack in one chunk per core
+(``_chunks``), ``_svd`` in blocks of slices within a chunk; from ``SLAB_FLOOR``
+entries on, ``_half_spectrum``, ``_from_half_spectrum`` and the solver's
+elementwise update map a tensor in one row slab per core (``_slabs``), each
+slab in cache-sized blocks of rows; and the experiment harnesses map their
+independent solves.  Below the floors, or inside a mapped solve, each stack is
+one chunk and each tensor one slab.  Chunks, blocks and slabs change no bit:
+LAPACK factors each matrix of a stack on its own, numpy's FFT transforms each
+tube on its own, and elementwise work has no order.
 """
 
 from __future__ import annotations
@@ -132,40 +132,62 @@ def _from_half_spectrum(stack: np.ndarray, n3: int) -> np.ndarray:
 
 
 def _svd(stack: np.ndarray, compute_uv: bool = True):
-    """Thin SVD of every matrix in the stack in one batched call, as
-    (U, s, Vh); without ``compute_uv`` U and Vh are None.
+    """Thin SVD of every matrix in the stack, as (U, s, Vh); without ``compute_uv`` U and Vh
+    are None.  It runs in one chunk per core (``_chunks``), each in batched calls on blocks of
+    about ``_BLOCK`` entries and at least one slice (``_blocks``) that write into outputs
+    allocated here, so no full-size factor is made on a pool thread.  A stack of one chunk
+    and one block is one call, whose own outputs are returned: copying them into fresh
+    outputs cost each ``denoise`` of a 64x64 colour image with baseline, whose solves take
+    this route on map threads, about 14,000 minor page faults (181 without) and 6% more time
+    (2-vCPU Xeon).  LAPACK's divide-and-conquer SVD (gesdd) occasionally fails to converge on
+    a finite matrix that its conjugate transpose factors fine, so a failed block is retried
+    once on the conjugate transposes with the factors swapped back."""
 
-    LAPACK's divide-and-conquer SVD (gesdd) occasionally fails to converge on a
-    finite matrix that its conjugate transpose factors fine, so a failure is
-    retried once on the conjugate transposes with the factors swapped back.
-    The call runs on one BLAS thread.
-    """
-    with _one_blas_thread():
+    def factor(b):
         try:
-            out = np.linalg.svd(stack, full_matrices=False, compute_uv=compute_uv)
+            out = np.linalg.svd(stack[b], full_matrices=False, compute_uv=compute_uv)
         except np.linalg.LinAlgError:
-            H = stack.conj().swapaxes(-1, -2)
+            H = stack[b].conj().swapaxes(1, 2)
             out = np.linalg.svd(H, full_matrices=False, compute_uv=compute_uv)
+            if compute_uv:  # H = (U S Vh)^H, so its factors swap back
+                out = out[2].conj().swapaxes(1, 2), out[1], out[0].conj().swapaxes(1, 2)
+        return out if compute_uv else (None, out, None)
+
+    chunks = _chunks(stack)
+    if len(chunks) == 1 and len(_blocks(chunks[0], stack.shape)) == 1:
+        return _map(factor, chunks)[0]
+    h, n1, n2 = stack.shape
+    k = min(n1, n2)
+    s = np.empty((h, k))
+    U = np.empty((h, n1, k), dtype=stack.dtype) if compute_uv else None
+    Vh = np.empty((h, k, n2), dtype=stack.dtype) if compute_uv else None
+
+    def factor_blocks(chunk):
+        for b in _blocks(chunk, stack.shape):
+            u, s[b], vh = factor(b)
             if compute_uv:
-                U, s, Vh = out
-                out = Vh.conj().swapaxes(-1, -2), s, U.conj().swapaxes(-1, -2)
-    return out if compute_uv else (None, out, None)
+                U[b], Vh[b] = u, vh
+
+    _map(factor_blocks, chunks)
+    return U, s, Vh
 
 
 # Parallel layer.  OpenBLAS splits each small LAPACK call of a batch over its
 # own threads, which is slower than one thread.  numpy's linalg and matmul
-# release the GIL, so every factorization runs with OpenBLAS pinned to one
-# thread, and independent calls (the slices of a large stack in contiguous
-# chunks, the rows of a large tensor in contiguous slabs, or whole solves) run
-# on the calling thread and on helpers submitted to the pool.  A map cancels
+# release the GIL, so every batched BLAS or LAPACK call runs with OpenBLAS
+# pinned to one thread, and independent calls (the slices of a large stack in
+# contiguous chunks, the rows of a large tensor in contiguous slabs, or whole
+# solves) run on the calling thread and on helpers submitted to the pool.  A map cancels
 # its helpers that have not started by the time its calls run out, so it never
 # waits behind another map's work.  Per matrix and per tube the result has the
 # same bits at any chunking, any worker count and any OPENBLAS_NUM_THREADS.
 # Without the pin there is no split, since each call would then start its own
-# BLAS threads.
+# BLAS threads.  An unpinned call also leaves OpenBLAS's worker spinning: after a
+# (51, 100, 10) @ (51, 10, 100) complex product a 0.3 s sleep took 0.124 s of
+# process CPU time (0.000 s pinned), a core the next parallel stage then lacks.
 #
 # The work of a call on an (h, n1, n2) stack is h * min(n1, n2)^2 * max(n1, n2).
-# Below PARALLEL_FLOOR the stack goes to LAPACK in one call.  Median ms per ADMM
+# Below PARALLEL_FLOOR the stack is one chunk.  Median ms per ADMM
 # iteration of synth.run_trial on n x n x n3 (12 solves a mode, alternating in
 # one process; 2-vCPU Xeon, OpenBLAS 0.3.31), one unpinned call (OpenBLAS's
 # default of 2 threads) / one pinned call / pinned and split: 16x16x4 (work
@@ -408,7 +430,8 @@ def _check_tprod_shapes(A: np.ndarray, B: np.ndarray) -> None:
 def tprod(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """t-product via slicewise matrix products in the Fourier domain."""
     _check_tprod_shapes(A, B)
-    return _from_half_spectrum(_half_spectrum(A) @ _half_spectrum(B), A.shape[2])
+    with _one_blas_thread():
+        return _from_half_spectrum(_half_spectrum(A) @ _half_spectrum(B), A.shape[2])
 
 
 def tprod_oracle(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -417,7 +440,8 @@ def tprod_oracle(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     Quadratic in n3; intended for tests only.
     """
     _check_tprod_shapes(A, B)
-    return fold(bcirc(A) @ unfold(B), A.shape[2])
+    with _one_blas_thread():
+        return fold(bcirc(A) @ unfold(B), A.shape[2])
 
 
 def ttranspose(A: np.ndarray) -> np.ndarray:

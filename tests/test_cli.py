@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -580,6 +581,31 @@ class TestTable1BlasThreads:
             )
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestNoBusyBlasThread:
+    """Every batched BLAS call runs on one BLAS thread, so no OpenBLAS worker is woken to
+    spin on after the call and take a core from the next parallel stage."""
+
+    @staticmethod
+    def idle_cpu_s():
+        start = time.process_time()
+        time.sleep(0.3)
+        return time.process_time() - start
+
+    def test_no_blas_thread_left_busy(self, tmp_path, capsys):
+        blas = t_algebra._openblas()
+        if not blas or blas[0]() < 2:
+            pytest.skip("needs numpy's bundled OpenBLAS on more than one thread")
+        path = tmp_path / "L.tns3"
+        tensor_core.save_tensor(path, gen_low_rank((100, 100, 20), 3, 0))
+        time.sleep(0.3)  # a worker woken before this test goes back to sleep
+        rng = np.random.default_rng(0)
+        t_algebra.tprod(rng.normal(size=(100, 10, 100)), rng.normal(size=(10, 100, 100)))
+        assert self.idle_cpu_s() < 0.03
+        assert main(["tsvd", str(path), "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["tubal_rank"] == 3
+        assert self.idle_cpu_s() < 0.03
 
 
 class TestPhaseCommand:

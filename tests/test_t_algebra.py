@@ -379,6 +379,49 @@ class TestSpectralLayer:
             assert stack.dtype == outs[0][0].dtype and np.array_equal(stack, outs[0][0])
             assert np.array_equal(back, outs[0][1]) and back.flags.c_contiguous
 
+    @pytest.mark.parametrize("n3", [1, 2, 7, 8])
+    @pytest.mark.parametrize("n1, n2", [(120, 80), (80, 120)], ids=["tall", "wide"])
+    def test_svd_chunk_and_block_count_changes_no_bit(self, rng, monkeypatch, n1, n2, n3):
+        # LAPACK factors each matrix of a batch on its own, so the chunks and blocks of
+        # ``_svd`` change no bit of a sweep, of ``tsvd`` or of ``tsvt``'s SVD route
+        if not ta._openblas():
+            pytest.skip("numpy's bundled OpenBLAS thread-count functions are not available")
+        A = random_tensor(rng, n1, n2, n3)
+        L = ta.tprod(random_tensor(rng, n1, 3, n3), random_tensor(rng, 3, n2, n3))
+        stack = ta._half_spectrum(A)
+        assert ta._above_floor(stack)
+        tau = np.linalg.norm(stack, axis=(1, 2)).max() / 1000  # the SVD route
+        svd, calls = np.linalg.svd, []
+        with ta._one_blas_thread():  # one batched call each
+            whole, whole_s = svd(stack, full_matrices=False), svd(stack, compute_uv=False)
+
+        def counting_svd(a, *args, **kwargs):
+            calls.append(a.shape[0])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        outs = []
+        # default blocks (two or one per chunk here), then blocks of one slice
+        for workers, block in [(0, ta._BLOCK), (1, ta._BLOCK), (2, ta._BLOCK), (0, 1), (2, 1)]:
+            monkeypatch.setattr(ta, "_WORKERS", workers)
+            monkeypatch.setattr(ta, "_BLOCK", block)
+            chunks = ta._chunks(stack)
+            assert len(chunks) == min(workers + 1, len(stack))
+            calls.clear()
+            factors = ta._svd(stack)
+            # one call per block of each chunk
+            blocks = [b for c in chunks for b in ta._blocks(c, stack.shape)]
+            assert sorted(calls) == sorted(b.stop - b.start for b in blocks)
+            assert all(np.array_equal(x, y) for x, y in zip(factors, whole))
+            assert np.array_equal(ta._svd(stack, compute_uv=False)[1], whole_s)
+            f = ta.tsvd(A)
+            outs.append([*ta._sweep(A, factors=True), *ta._sweep(L, factors=True),
+                         *ta._sweep(A)[:3], f.U, f.S, f.V, tsvt(A, tau)])
+        assert np.array_equal(outs[0][5], [3] * n3)  # L's factors are cut to 3 columns
+        for out in outs[1:]:
+            for x, y in zip(out, outs[0]):
+                assert np.asarray(x).dtype == np.asarray(y).dtype and np.array_equal(x, y)
+
     def test_failed_singular_value_sweep_is_retried(self, rng, monkeypatch):
         A = random_tensor(rng, 5, 3, 4)
         expected = ta.tnn(A)
