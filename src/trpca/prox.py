@@ -7,9 +7,9 @@ every slice from a batched Hermitian (for a real stack, symmetric)
 eigendecomposition of the slices' Gram matrices (Cai & Osher, "Fast singular
 value thresholding without singular value decomposition", 2013), and from
 ``t_algebra._svd``, the one batched SVD of a half spectrum, when squaring
-the slices would lose accuracy (see ``GRAM_RATIO``); above
-``t_algebra.PARALLEL_FLOOR`` either route factors and rebuilds in one chunk
-of the slices per core, the SVD in blocks of slices within a chunk.
+the slices would lose accuracy (see ``GRAM_RATIO``).  The slice norms that pick
+the route, the factorization and the rebuild run in blocks of slices, in one chunk
+of the slices per core above ``t_algebra.PARALLEL_FLOOR``.
 ``soft_threshold`` is the prox of the elementwise l1 norm; it and the
 solver's fused update both shrink through ``_shrink``.
 
@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .t_algebra import _chunks, _from_half_spectrum, _half_spectrum, _map, _svd
+from .t_algebra import (
+    _blocks, _blockwise, _chunks, _each, _factor_blocks, _from_half_spectrum, _half_spectrum, _svd
+)
 from .tensor_core import as_tensor
 
 __all__ = ["tsvt", "soft_threshold"]
@@ -50,64 +52,65 @@ def tsvt(Y: np.ndarray, tau: float) -> np.ndarray:
     or when that eigendecomposition fails, through the SVD.  Either way the
     slices are rebuilt together up to the largest rank kept in any of them;
     the shrunk singular values past a slice's own rank are zero, so this
-    equals truncating each slice separately.  Above the parallel layer's
-    work floor the half spectrum is factored, then rebuilt, in one chunk
-    per core; the result has the same bits at any chunking.
+    equals truncating each slice separately.  All of it goes by blocks of
+    slices, in one chunk per core above the parallel layer's work floor, and no
+    temporary but the factors is as large as the stack; no bit depends on that.
     """
     if not tau > 0:  # NaN too
         raise ValueError(f"tau must be positive, got {tau}")
     Y = as_tensor(Y)
     stack = _half_spectrum(Y)
-    top = np.linalg.norm(stack, axis=(1, 2)).max()
+    blocks = [_blocks(c, stack.shape) for c in _chunks(stack)]
+    top = max(_each(lambda chunk: max(np.linalg.norm(stack[b], axis=(1, 2)).max() for b in chunk),
+                    blocks))
     if top <= tau:  # every singular value is at most tau, so every one shrinks to 0
         return np.zeros(Y.shape)
     if top <= GRAM_RATIO * tau:
         try:
-            return _from_half_spectrum(_gram_svt(stack, tau), Y.shape[2])
+            return _from_half_spectrum(_gram_svt(stack, tau, blocks), Y.shape[2])
         except np.linalg.LinAlgError:
             pass  # eigh did not converge; the SVD, with its own retry, decides
     U, s, Vh = _svd(stack)
     s = np.maximum(s - tau, 0.0)
     r = int(np.count_nonzero(s, axis=1).max())
-
-    def rebuild(c):
-        np.matmul(U[c, :, :r] * s[c, None, :r], Vh[c, :r, :], out=stack[c])
-
     # the factors replace the stack, so the stack takes the result
-    _map(rebuild, _chunks(stack))
+    _blockwise(lambda b: np.matmul(U[b, :, :r] * s[b, None, :r], Vh[b, :r], out=stack[b]), blocks)
+    del U, Vh
     return _from_half_spectrum(stack, Y.shape[2])
 
 
-def _gram_svt(stack: np.ndarray, tau: float) -> np.ndarray:
-    """SVT of every slice from a batched eigh of the Gram matrices M^H M, per chunk.
+def _gram_svt(stack: np.ndarray, tau: float, blocks: list) -> np.ndarray:
+    """SVT of every slice from a batched eigh of the Gram matrices M^H M, written over the stack.
 
     M is the slice, or its conjugate transpose for a wide slice, so the Gram
     matrix is on the smaller side.  With M = U S V^H, the shrunk slice
-    U (S - tau)_+ V^H equals (M V) diag((1 - tau/s)_+) V^H.  A tall stack is
-    overwritten with the result.
+    U (S - tau)_+ V^H equals (M V) diag((1 - tau/s)_+) V^H, which each block of slices
+    is rebuilt from, a wide block conjugate-transposed back into the stack.
     """
     wide = stack.shape[1] < stack.shape[2]
-    M = stack.conj().swapaxes(1, 2) if wide else stack
-    G = np.empty((M.shape[0], M.shape[2], M.shape[2]), dtype=M.dtype)
 
-    def factor(c):
-        return np.linalg.eigh(np.matmul(M[c].conj().swapaxes(1, 2), M[c], out=G[c]))
+    def factor(b):
+        S, H = stack[b], stack[b].conj().swapaxes(1, 2)
+        G = np.matmul(S, H) if wide else np.matmul(H, S)
+        del H  # one block's conjugate fewer while eigh runs
+        return np.linalg.eigh(G)
 
-    chunks = _chunks(stack)
-    eig = _map(factor, chunks)
-    del G  # each eigh returns its own V
+    p = min(stack.shape[1:])
+    lam, V = _factor_blocks(factor, stack, blocks, ((p,), float), ((p, p), stack.dtype))
     # eigenvalues ascend, so the kept ones are the last columns of V
-    roots = [np.sqrt(np.maximum(lam, 0.0)) for lam, _ in eig]
-    r = max(int(np.count_nonzero(s > tau, axis=1).max()) for s in roots)
-    first = M.shape[2] - r
-    out = np.empty(M.shape, dtype=M.dtype) if wide else stack
+    s = np.sqrt(np.maximum(lam, 0.0))
+    first = p - int(np.count_nonzero(s > tau, axis=1).max())
+    w = 1.0 - tau / np.maximum(s[:, first:], tau)
 
-    def rebuild(c, e, s):
-        V, w = e[1][:, :, first:], 1.0 - tau / np.maximum(s[:, first:], tau)
-        np.matmul((M[c] @ V) * w[:, None, :], V.conj().swapaxes(1, 2), out=out[c])
+    def rebuild(b):
+        M, Vb = stack[b].conj().swapaxes(1, 2) if wide else stack[b], V[b, :, first:]
+        MVw, Vh = (M @ Vb) * w[b, None, :], Vb.conj().swapaxes(1, 2)
+        out = np.matmul(MVw, Vh, out=None if wide else stack[b])
+        if wide:
+            np.conjugate(out.swapaxes(1, 2), out=stack[b])
 
-    _map(rebuild, chunks, eig, roots)
-    return out.conj().swapaxes(1, 2) if wide else out
+    _blockwise(rebuild, blocks)
+    return stack
 
 
 def soft_threshold(Y: np.ndarray, tau: float) -> np.ndarray:

@@ -97,8 +97,8 @@ def solve(X: np.ndarray, config: SolverConfig | None = None, callback=None) -> T
     Steps 2 and 3, the three residuals and the next step 1's argument run as one pass over
     row slabs of the tensor (``_update``), one slab per core from the parallel layer's
     ``t_algebra.SLAB_FLOOR`` on, each slab in cache-sized blocks.  Step 1's argument is written
-    into one buffer that lives for the whole solve; step 2's, and Y/mu, exist only a block at a
-    time, so no second full-size buffer stays alive through the t-SVT.  Every expression keeps
+    into one buffer that lives for the whole solve, and without a callback step 2 updates E in
+    place; step 2's argument and Y/mu exist only a block at a time.  Every expression keeps
     the association written above, so the result has the same bits at any slab or block count.
 
     ``callback(k, L, E)``, when given, is invoked after every iteration; no later iteration
@@ -121,7 +121,7 @@ def solve(X: np.ndarray, config: SolverConfig | None = None, callback=None) -> T
     k = 0
     for k in range(1, config.max_iter + 1):
         L_new = tsvt(P, 1.0 / mu)
-        E_new = np.empty_like(X)
+        E_new = E if callback is None else np.empty_like(X)
         mu_next = min(config.rho * mu, config.mu_max)
         parts = t_algebra._each(_update, slabs, X, L, E, Y, L_new, E_new, P, mu, lam / mu, mu_next)
         res = parts[0] if len(parts) == 1 else tuple(map(max, *parts))
@@ -145,19 +145,20 @@ def solve(X: np.ndarray, config: SolverConfig | None = None, callback=None) -> T
 
 def _update(rows, X, L, E, Y, L_new, E_new, P, mu, tau, mu_next) -> tuple:
     """Steps 2 and 3 of ``solve`` on the rows ``rows``, block by block (``t_algebra._blocks``),
-    with tau = lam/mu: writes E_new, updates Y, then writes the next iteration's step-1
-    argument into P.  Returns the rows' three residual maxima."""
+    with tau = lam/mu: writes E_new, which may be E, updates Y, then writes the next
+    iteration's step-1 argument into P.  Returns the rows' three residual maxima."""
     dl = de = dg = 0.0
     for b in t_algebra._blocks(rows, X.shape):
         x, l_new, e_new, y = X[b], L_new[b], E_new[b], Y[b]
         B = np.subtract(x, l_new)
         t = np.divide(y, mu)
         B -= t  # X - L - Y/mu
-        _shrink(B, tau, e_new)
+        _shrink(B, tau, t)  # E_new's block is written only once E's has been read
+        de = max(de, float(np.abs(np.subtract(t, E[b], out=B), out=B).max()))
+        e_new[...] = t
         gap = np.add(l_new, e_new, out=B)
         gap -= x
         dl = max(dl, float(np.abs(np.subtract(l_new, L[b], out=t), out=t).max()))
-        de = max(de, float(np.abs(np.subtract(e_new, E[b], out=t), out=t).max()))
         y += np.multiply(mu, gap, out=t)
         dg = max(dg, float(np.abs(gap, out=gap).max()))
         p = np.subtract(x, e_new, out=P[b])

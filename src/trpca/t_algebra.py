@@ -23,8 +23,8 @@ inspection of a tensor needs.
 Every batched BLAS or LAPACK call runs with OpenBLAS pinned to one thread.  One
 work-sharing map, ``_map``, runs independent calls side by side on the calling
 thread and a private pool: above a work floor, ``PARALLEL_FLOOR``, ``_svd`` and
-the Gram route of ``prox.tsvt`` map a stack in one chunk per core
-(``_chunks``), ``_svd`` in blocks of slices within a chunk; from ``SLAB_FLOOR``
+``prox.tsvt`` map a stack in one chunk per core (``_chunks``), each chunk in
+blocks of slices (``_blockwise``); from ``SLAB_FLOOR``
 entries on, ``_half_spectrum``, ``_from_half_spectrum`` and the solver's
 elementwise update map a tensor in one row slab per core (``_slabs``), each
 slab in cache-sized blocks of rows; and the experiment harnesses map their
@@ -132,16 +132,10 @@ def _from_half_spectrum(stack: np.ndarray, n3: int) -> np.ndarray:
 
 
 def _svd(stack: np.ndarray, compute_uv: bool = True):
-    """Thin SVD of every matrix in the stack, as (U, s, Vh); without ``compute_uv`` U and Vh
-    are None.  It runs in one chunk per core (``_chunks``), each in batched calls on blocks of
-    about ``_BLOCK`` entries and at least one slice (``_blocks``) that write into outputs
-    allocated here, so no full-size factor is made on a pool thread.  A stack of one chunk
-    and one block is one call, whose own outputs are returned: copying them into fresh
-    outputs cost each ``denoise`` of a 64x64 colour image with baseline, whose solves take
-    this route on map threads, about 14,000 minor page faults (181 without) and 6% more time
-    (2-vCPU Xeon).  LAPACK's divide-and-conquer SVD (gesdd) occasionally fails to converge on
-    a finite matrix that its conjugate transpose factors fine, so a failed block is retried
-    once on the conjugate transposes with the factors swapped back."""
+    """Thin SVD of every matrix in the stack, as (U, s, Vh), block by block (``_factor_blocks``);
+    without ``compute_uv`` U and Vh are None.  LAPACK's divide-and-conquer SVD (gesdd)
+    occasionally fails to converge on a finite matrix that its conjugate transpose factors fine,
+    so a failed block is retried once on the conjugate transposes with the factors swapped back."""
 
     def factor(b):
         try:
@@ -153,23 +147,36 @@ def _svd(stack: np.ndarray, compute_uv: bool = True):
                 out = out[2].conj().swapaxes(1, 2), out[1], out[0].conj().swapaxes(1, 2)
         return out if compute_uv else (None, out, None)
 
-    chunks = _chunks(stack)
-    if len(chunks) == 1 and len(_blocks(chunks[0], stack.shape)) == 1:
-        return _map(factor, chunks)[0]
-    h, n1, n2 = stack.shape
+    _, n1, n2 = stack.shape
     k = min(n1, n2)
-    s = np.empty((h, k))
-    U = np.empty((h, n1, k), dtype=stack.dtype) if compute_uv else None
-    Vh = np.empty((h, k, n2), dtype=stack.dtype) if compute_uv else None
+    U, Vh = [((n1, k), stack.dtype), ((k, n2), stack.dtype)] if compute_uv else [None, None]
+    blocks = [_blocks(c, stack.shape) for c in _chunks(stack)]
+    return _factor_blocks(factor, stack, blocks, U, ((k,), float), Vh)
 
-    def factor_blocks(chunk):
-        for b in _blocks(chunk, stack.shape):
-            u, s[b], vh = factor(b)
-            if compute_uv:
-                U[b], Vh[b] = u, vh
 
-    _map(factor_blocks, chunks)
-    return U, s, Vh
+def _blockwise(fn, blocks: list) -> None:
+    """``fn(b)`` for each block in ``blocks``, a list of blocks of slices (``_blocks``) for each
+    chunk (``_chunks``) of a stack, each chunk's blocks in one ``_map`` call."""
+    _map(lambda chunk: [fn(b) for b in chunk], blocks)
+
+
+def _factor_blocks(factor, stack: np.ndarray, blocks: list, *parts) -> tuple:
+    """``factor(slice(0, h))`` of a stack of h slices in these blocks, ``factor(b)`` giving one
+    array of slices ``b`` per (shape, dtype) or None in ``parts``, computed by ``_blockwise`` into
+    outputs (h,) + shape allocated here, so no full-size output is made on a pool thread.  One
+    block is one call, whose own outputs are returned: copying them cost a 64x64 colour
+    ``denoise --baseline`` 14,000 minor page faults (181 without) and 6% more time."""
+    if len(blocks) == 1 and len(blocks[0]) == 1:
+        return _map(factor, blocks[0])[0]
+    outs = [None if p is None else np.empty(stack.shape[:1] + p[0], dtype=p[1]) for p in parts]
+
+    def write(b):
+        for out, value in zip(outs, factor(b)):
+            if out is not None:
+                out[b] = value
+
+    _blockwise(write, blocks)
+    return tuple(outs)
 
 
 # Parallel layer.  OpenBLAS splits each small LAPACK call of a batch over its
@@ -285,7 +292,7 @@ def _in_task() -> bool:
 
 def _split(n: int, above_floor: bool) -> list[slice]:
     k = min(_WORKERS + 1, n) if above_floor and _openblas() and not _in_task() else 1
-    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+    return [slice(0, n)] if k == 1 else [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
 def _chunks(stack: np.ndarray) -> list[slice]:
@@ -305,6 +312,8 @@ def _blocks(rows: slice, shape: tuple) -> list[slice]:
     """The rows ``rows`` of a tensor of this shape, cut into blocks of about ``_BLOCK`` entries
     and at least one row each."""
     step = max(1, _BLOCK // (shape[1] * shape[2]))
+    if rows.stop - rows.start <= step:  # the common case of small tensors, without a loop
+        return [rows]
     return [slice(i, min(i + step, rows.stop)) for i in range(rows.start, rows.stop, step)]
 
 
@@ -363,6 +372,7 @@ def _map(fn, *iterables) -> list:
             for f in helpers:
                 if not f.cancel():
                     f.result()
+    fn = calls = None  # a pool thread may hold a finished helper a moment longer: free fn's closure
     if errors:
         raise errors[min(errors)]
     return results

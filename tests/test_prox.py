@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,6 +389,70 @@ class TestParallelLayer:
             tsvt(Y, tau)
         assert blas_threads() == before
 
+    @pytest.mark.parametrize("n3", [1, 2, 7, 8])
+    @pytest.mark.parametrize("shape", [(120, 80), (80, 120)], ids=["tall", "wide"])
+    @pytest.mark.parametrize("top, route", [(50.0, "eigh"), (1e4, "svd")], ids=["gram", "svd"])
+    @pytest.mark.usefixtures("blas_threads")
+    def test_blocks_change_no_bit(self, rng, monkeypatch, n3, shape, top, route):
+        # the route guard's largest slice norm and either route's result have the same bits in
+        # blocks of slices, chunked or not, as in one call over the whole stack
+        p = min(shape)
+        Y = tensor_with_spectrum(
+            rng, *shape, n3, lambda k: np.r_[top, np.full(4, 2.0), np.full(p - 5, 0.5)]
+        )
+        stack = ta._half_spectrum(Y)
+        assert ta._above_floor(stack)
+        largest = np.linalg.norm(stack, axis=(1, 2)).max()
+        calls, default = self.factorizations(monkeypatch), ta._BLOCK
+        monkeypatch.setattr(ta, "_WORKERS", 0)
+        monkeypatch.setattr(ta, "_BLOCK", stack.size)  # the whole stack in one block
+        whole = tsvt(Y, 1.0)
+        assert calls == [(route, stack.shape[0])]
+        for workers, block in [(0, default), (1, default), (2, default), (0, 1), (2, 1)]:
+            monkeypatch.setattr(ta, "_WORKERS", workers)
+            monkeypatch.setattr(ta, "_BLOCK", block)
+            blocks = [b for c in ta._chunks(stack) for b in ta._blocks(c, stack.shape)]
+            calls.clear()
+            assert tsvt(Y, 1.0).tobytes() == whole.tobytes()
+            # one factorization per block, one call when the stack is one block
+            assert sorted(calls) == sorted((route, b.stop - b.start) for b in blocks)
+            # the guard's maximum is ``largest`` to the bit: at tau = largest everything
+            # shrinks to zero unfactored, one ulp below it the slices are factored
+            calls.clear()
+            assert not tsvt(Y, largest).any() and calls == []
+            tsvt(Y, np.nextafter(largest, 0.0))
+            assert calls
+
+    def test_failed_block_falls_back_and_restores_pin(self, rng, monkeypatch, blas_threads):
+        Y = random_tensor(rng, 80, 50, 8)
+        tau = np.linalg.norm(ta._half_spectrum(Y), axis=(1, 2)).max() / 10  # the Gram route
+        monkeypatch.setattr(ta, "_WORKERS", 1)
+        monkeypatch.setattr(ta, "_BLOCK", 1)  # five one-slice blocks in chunks of two and three
+        eigh = np.linalg.eigh
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        expected = tsvt(Y, tau)  # the SVD route
+        before = blas_threads()
+        both, seen, pool_blocks = threading.Barrier(2, timeout=60), set(), []
+
+        def eigh_failing_in_second_pool_block(a, *args, **kwargs):
+            if threading.get_ident() not in seen:  # each chunk on its own thread
+                seen.add(threading.get_ident())
+                both.wait()
+            if threading.current_thread() is not threading.main_thread():
+                pool_blocks.append(a.shape[0])
+                if len(pool_blocks) == 2:
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_failing_in_second_pool_block)
+        assert tsvt(Y, tau).tobytes() == expected.tobytes()
+        assert pool_blocks == [1, 1] and len(seen) == 2
+        assert blas_threads() == before and ta._pin_depth == 0
+
     def test_absent_openblas_gives_same_bits(self, rng, monkeypatch, blas_threads):
         Y = random_tensor(rng, 80, 50, 8)
         tau = np.linalg.norm(ta._half_spectrum(Y), axis=(1, 2)).max() / 10
@@ -425,6 +490,37 @@ class TestParallelLayer:
         assert not any(t.is_alive() for t in threads)
         assert seen == [1] * 1600
         assert blas_threads() == before
+
+
+class TestTracedMemory:
+    """Traced peak of one ``tsvt`` above the work floor, on two threads, in sizes of its real
+    n1 x n2 x n3 argument.  The half spectrum and the result take about one each; the Gram route
+    holds one factor of the smaller side beside them and the SVD route two, and every other
+    temporary is a block of slices.  Measured: Gram 2.29 (square), 2.20 (wide), 2.04 (tall); SVD
+    3.31, 2.99, 2.99.  When the Gram matrices and the eigenvectors were whole-stack arrays and
+    the guard's norms took the whole stack at once: Gram 3.07, 4.66, 2.34; SVD 4.07, 3.59, 3.59
+    (the SVD factors then stayed alive through the inverse transform)."""
+
+    @pytest.mark.parametrize(
+        "shape", [(100, 100, 100), (60, 120, 60), (120, 60, 60)], ids=["square", "wide", "tall"]
+    )
+    @pytest.mark.parametrize("top, bound", [(50.0, 2.5), (1e4, 3.5)], ids=["gram", "svd"])
+    @pytest.mark.usefixtures("blas_threads")  # without the pin there are no chunks
+    def test_peak(self, rng, monkeypatch, shape, top, bound):
+        p = min(shape[:2])
+        Y = tensor_with_spectrum(
+            rng, *shape, lambda k: np.r_[top, np.full(4, 2.0), np.full(p - 5, 0.5)]
+        )
+        assert ta._above_floor(ta._half_spectrum(Y))
+        monkeypatch.setattr(ta, "_WORKERS", 1)
+        tsvt(Y, 1.0)  # the pool's threads start outside the trace
+        tracemalloc.start()
+        try:
+            tsvt(Y, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * Y.nbytes
 
 
 class TestWorkSharingMap:

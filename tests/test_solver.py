@@ -193,6 +193,21 @@ class TestSlabs:
             assert np.array_equal(L, L_then) and np.array_equal(E, E_then)
         assert res.L is seen[-1][0] and res.E is seen[-1][1]
 
+    @pytest.mark.parametrize("shape", [(50, 40, 30), (12, 10, 3)], ids=["slabs", "one_slab"])
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_callback_changes_no_bit(self, monkeypatch, shape, workers):
+        # without a callback E is updated in place; with one, each iteration gets fresh arrays
+        X = gen_low_rank(shape, 2, 5) + gen_sparse_uniform(shape, int(np.prod(shape)) // 20, 6)
+        monkeypatch.setattr(ta, "_WORKERS", workers)
+        if ta._openblas():
+            assert len(ta._slabs(X.shape)) == (workers + 1 if X.size >= ta.SLAB_FLOOR else 1)
+        plain, seen = solve(X), []
+        called = solve(X, callback=lambda k, L, E: seen.append(k))
+        assert seen == list(range(1, plain.iterations + 1)) and plain.iterations > 1
+        assert plain.L.tobytes() == called.L.tobytes() and plain.E.tobytes() == called.E.tobytes()
+        assert plain.iterations == called.iterations and plain.converged == called.converged
+        assert plain.residual_history == called.residual_history
+
 
 @pytest.mark.slow
 class TestPerIterationScaling:
