@@ -185,7 +185,8 @@ def cmd_table1(args) -> int:
     with _outputs((args.out, "w")) as (f,):
         print(f"seed: {args.seed}  n={n} n3={n3} r={r} m={m} seeds={args.seeds}")
         # the seeds are independent solves, run side by side; rows follow in seed order
-        rows = list(zip(specs, t_algebra._map(lambda spec: synth.run_trial(spec, config), specs)))
+        outcomes = t_algebra._fork_map(lambda spec: synth.run_trial(spec, config), specs)
+        rows = list(zip(specs, outcomes))
         for spec, out in rows:
             print(
                 f"seed {spec.seed}: rank_hat={out.rank_hat} nnz_hat={out.nnz_hat} "

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .solver import SolverConfig, default_lambda, solve
-from .t_algebra import _map
+from .t_algebra import _fork_map
 from .tensor_core import as_tensor
 
 __all__ = [
@@ -203,7 +203,9 @@ def denoise(
     Returns (DenoiseReport, L, E, mask) with L clamped to [0, 1].  With
     ``baseline=True`` each frontal slice is also solved on its own as an n3=1
     problem with the matrix weight 1/sqrt(max(n1, n2)), and the clamped slices
-    are scored together; these channel solves run beside the tensor solve.
+    are scored together; these channel solves run beside the tensor solve, in forked
+    processes where ``os.fork`` and the OpenBLAS pin exist and on threads elsewhere
+    (``t_algebra._fork_map``).
     """
     clean = stack_to_tensor(stack)
     corrupted, mask = corrupt_pixels(clean, fraction, seed)
@@ -214,7 +216,7 @@ def denoise(
         slice_config = replace(config, lam=default_lambda((n1, n2, 1)))
         problems += [(corrupted[:, :, k : k + 1], slice_config) for k in range(n3)]
     # independent solves, run side by side, the longest first
-    result, *channels = _map(solve, *zip(*problems))
+    result, *channels = _fork_map(solve, *zip(*problems))
     L = np.clip(result.L, 0.0, 1.0)
     psnr_base = None
     if baseline:

@@ -6,7 +6,8 @@ seed reproduces the same tensors on any platform.  Phase-grid cells derive
 their per-trial seeds from (base_seed, cell row, cell column, trial index)
 through ``numpy``'s SeedSequence spawning, keeping trials independent and
 order-insensitive, so the grid runs them side by side through
-``t_algebra._map``.
+``t_algebra._fork_map``: in forked processes where ``os.fork`` and the
+OpenBLAS pin exist, on threads elsewhere.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import SolverConfig, TrpcaResult, solve
-from .t_algebra import _map, tprod, tubal_rank
+from .t_algebra import _fork_map, tprod, tubal_rank
 from .tensor_core import TensorDims, norm_fro
 
 __all__ = [
@@ -239,7 +240,7 @@ def phase_grid(
         for t in range(trials)
     ]
     # the trials are independent solves, run side by side
-    successes = _map(lambda spec: run_trial(spec, config).success, specs)
+    successes = _fork_map(lambda spec: run_trial(spec, config).success, specs)
     grid = np.reshape(successes, (len(rho_list), len(r_fracs), trials)).sum(axis=2) / trials
     return PhaseGrid(r_fractions=r_fracs, rho_values=rho_list, success_fraction=grid)
 

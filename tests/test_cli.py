@@ -496,6 +496,30 @@ class TestOutputsOpenedFirst:
         assert "numerical failure" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
+    @pytest.mark.skipif(not hasattr(os, "fork") or not t_algebra._openblas(),
+                        reason="needs os.fork and numpy's bundled OpenBLAS")
+    def test_failed_channel_solve_in_a_child_exits_4(self, tmp_path, monkeypatch, capsys):
+        # only a channel solve run in a forked child fails; its error crosses back as itself
+        save_netpbm(tmp_path / "img.ppm", imaging.ImageStack(np.full((6, 5, 3), 90, np.uint8), True))
+        out_dir = tmp_path / "out"
+        parent, solve = os.getpid(), imaging.solve
+
+        def failing_in_a_child(X, config):
+            if X.shape[2] == 3:  # the tensor solve: let the child take the channel solves
+                time.sleep(0.3)
+            elif os.getpid() != parent:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return solve(X, config)
+
+        monkeypatch.setattr(t_algebra, "_WORKERS", 1)
+        monkeypatch.setattr(imaging, "solve", failing_in_a_child)
+        args = ["denoise", str(tmp_path / "img.ppm"), "--baseline", "--out-dir", str(out_dir)]
+        assert main(args) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical failure: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert list(out_dir.iterdir()) == []
+
     def test_two_outputs_naming_one_file_exit_2(self, tmp_path, capsys):
         # a new path is not left behind, an existing file keeps its bytes, a device may repeat
         tensor_core.save_tensor(tmp_path / "x.tns3", np.zeros((6, 6, 2)))

@@ -1,3 +1,7 @@
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -592,3 +596,156 @@ class TestNorms:
             assert abs(np.vdot(A, B)) <= ta.tnn(A) * ta.spectral_norm(B) * (
                 1 + 1e-10
             )
+
+
+needs_fork = pytest.mark.skipif(
+    not hasattr(os, "fork") or not ta._openblas(),
+    reason="needs os.fork and numpy's bundled OpenBLAS thread-count functions",
+)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class UnpicklableError(Exception):
+    """An exception that pickles but cannot be rebuilt from its arguments."""
+
+    def __init__(self, what, code):
+        super().__init__(what)
+
+
+@needs_fork
+class TestForkMap:
+    """``t_algebra._fork_map`` shares whole calls between the calling process and children
+    forked for the map, and behaves like ``_map`` on success and on failure."""
+
+    @pytest.fixture(autouse=True)
+    def one_child(self, monkeypatch):
+        monkeypatch.setattr(ta, "_WORKERS", 1)
+
+    @staticmethod
+    def slow_square(x, y=0):
+        time.sleep(0.05)
+        return x * x + y, os.getpid()
+
+    def test_results_in_call_order_from_more_than_one_process(self):
+        outs = ta._fork_map(self.slow_square, range(7), range(10, 17))
+        assert [v for v, _ in outs] == list(map(lambda x, y: x * x + y, range(7), range(10, 17)))
+        assert os.getpid() in {pid for _, pid in outs} and len({pid for _, pid in outs}) == 2
+        assert_no_child_left()
+
+    def test_every_call_runs_once_past_the_pipe_window(self, tmp_path, monkeypatch):
+        # more processes than cores and more calls than the pipe holds indices at once
+        monkeypatch.setattr(ta, "_WORKERS", 4)
+        log = tmp_path / "calls"
+        n = 3 * ta._WINDOW + 5
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        try:
+
+            def call(k):
+                os.write(fd, b"%d\n" % k)  # one atomic append per call, from any process
+                return k, os.getpid()
+
+            start = time.monotonic()
+            outs = ta._fork_map(call, range(n))
+        finally:
+            os.close(fd)
+        assert time.monotonic() - start < 60
+        assert [k for k, _ in outs] == list(range(n))
+        assert sorted(map(int, log.read_text().split())) == list(range(n))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("where", ["no_workers", "in_task", "no_fork"])
+    def test_forks_nothing(self, monkeypatch, where):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        if where == "no_workers":
+            monkeypatch.setattr(ta, "_WORKERS", 0)
+        elif where == "no_fork":
+            monkeypatch.delattr(os, "fork")
+        if where == "in_task":  # each call of a two-call _map runs in a task
+            outs = sum(ta._map(lambda _: ta._fork_map(self.slow_square, range(3)), range(2)), [])
+        else:
+            outs = ta._fork_map(self.slow_square, range(3))
+        assert [v for v, _ in outs] == [0, 1, 4] * (2 if where == "in_task" else 1)
+        assert {pid for _, pid in outs} == {os.getpid()}
+
+    def test_nested_pieces_in_a_child_are_one(self):
+        stack, shape = np.empty((60, 100, 100)), (100, 100, 100)
+        assert ta._above_floor(stack) and len(ta._slabs(shape)) == 2
+
+        def pieces(_):
+            time.sleep(0.05)
+            return len(ta._chunks(stack)), len(ta._slabs(shape)), os.getpid()
+
+        outs = ta._fork_map(pieces, range(4))
+        assert len({pid for *_, pid in outs}) == 2
+        assert all(out[:2] == (1, 1) for out in outs)
+
+    def test_lowest_index_error_is_raised_with_its_type(self, tmp_path):
+        log = tmp_path / "calls"
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+        def call(k):
+            os.write(fd, b"%d\n" % k)
+            if k == 0:  # fails last, once call 1 has failed in the other process
+                time.sleep(0.3)
+                raise ValueError("call 0 failed")
+            raise KeyError(f"call {k} failed")
+
+        try:
+            with pytest.raises(ValueError, match="call 0 failed"):
+                ta._fork_map(call, range(6))
+        finally:
+            os.close(fd)
+        assert sorted(map(int, log.read_text().split())) == [0, 1]  # no call starts after a failure
+        assert_no_child_left()
+
+    def test_unpicklable_error_comes_back_as_runtime_error(self):
+        parent = os.getpid()
+
+        def call(k):
+            time.sleep(0.05)
+            if os.getpid() != parent:
+                raise UnpicklableError("cannot rebuild", 7)
+            return k
+
+        with pytest.raises(RuntimeError, match="UnpicklableError"):
+            ta._fork_map(call, range(4))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("end, status", [("kill", "signal 9"), ("exit", "exit status 3")])
+    def test_a_dead_child_raises(self, end, status):
+        parent = os.getpid()
+
+        def call(k):
+            time.sleep(0.05)
+            if os.getpid() != parent:
+                if end == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(3)
+            return k
+
+        with pytest.raises(RuntimeError, match=status):
+            ta._fork_map(call, range(4))
+        assert_no_child_left()
+
+    def test_interrupt_kills_and_reaps_the_children(self):
+        parent = os.getpid()
+
+        def call(k):
+            if os.getpid() == parent:
+                time.sleep(0.05)
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            ta._fork_map(call, range(2))
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+        assert ta._pin_depth == 0 and not ta._in_task()
