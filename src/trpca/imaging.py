@@ -203,9 +203,9 @@ def denoise(
     Returns (DenoiseReport, L, E, mask) with L clamped to [0, 1].  With
     ``baseline=True`` each frontal slice is also solved on its own as an n3=1
     problem with the matrix weight 1/sqrt(max(n1, n2)), and the clamped slices
-    are scored together; these channel solves run beside the tensor solve, in forked
-    processes where ``os.fork`` and the OpenBLAS pin exist and on threads elsewhere
-    (``t_algebra._fork_map``).
+    are scored together; these channel solves run beside the tensor solve in forked
+    processes where ``os.fork`` and the OpenBLAS pin exist, and after it on the calling
+    thread elsewhere (``t_algebra._fork_map``).
     """
     clean = stack_to_tensor(stack)
     corrupted, mask = corrupt_pixels(clean, fraction, seed)

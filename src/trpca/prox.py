@@ -9,7 +9,7 @@ value thresholding without singular value decomposition", 2013), and from
 ``t_algebra._svd``, the one batched SVD of a half spectrum, when squaring
 the slices would lose accuracy (see ``GRAM_RATIO``).  The slice norms that pick
 the route, the factorization and the rebuild run in blocks of slices, in one chunk
-of the slices per core above ``t_algebra.PARALLEL_FLOOR``.
+per core above ``t_algebra.PARALLEL_FLOOR`` (``t_algebra._blockwise``).
 ``soft_threshold`` is the prox of the elementwise l1 norm; it and the
 solver's fused update both shrink through ``_shrink``.
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .t_algebra import (
-    _blocks, _blockwise, _chunks, _each, _factor_blocks, _from_half_spectrum, _half_spectrum, _svd
+    _blockwise, _chunks, _factor_blocks, _from_half_spectrum, _half_spectrum, _one_blas_thread, _svd
 )
 from .tensor_core import as_tensor
 
@@ -55,31 +55,33 @@ def tsvt(Y: np.ndarray, tau: float) -> np.ndarray:
     equals truncating each slice separately.  All of it goes by blocks of
     slices, in one chunk per core above the parallel layer's work floor, and no
     temporary but the factors is as large as the stack; no bit depends on that.
+    Everything after the zero check runs with OpenBLAS on one thread.
     """
     if not tau > 0:  # NaN too
         raise ValueError(f"tau must be positive, got {tau}")
     Y = as_tensor(Y)
     stack = _half_spectrum(Y)
-    blocks = [_blocks(c, stack.shape) for c in _chunks(stack)]
-    top = max(_each(lambda chunk: max(np.linalg.norm(stack[b], axis=(1, 2)).max() for b in chunk),
-                    blocks))
+    pieces = _chunks(stack)
+    top = max(_blockwise(lambda b: np.linalg.norm(stack[b], axis=(1, 2)).max(), pieces))
     if top <= tau:  # every singular value is at most tau, so every one shrinks to 0
         return np.zeros(Y.shape)
-    if top <= GRAM_RATIO * tau:
-        try:
-            return _from_half_spectrum(_gram_svt(stack, tau, blocks), Y.shape[2])
-        except np.linalg.LinAlgError:
-            pass  # eigh did not converge; the SVD, with its own retry, decides
-    U, s, Vh = _svd(stack)
-    s = np.maximum(s - tau, 0.0)
-    r = int(np.count_nonzero(s, axis=1).max())
-    # the factors replace the stack, so the stack takes the result
-    _blockwise(lambda b: np.matmul(U[b, :, :r] * s[b, None, :r], Vh[b, :r], out=stack[b]), blocks)
-    del U, Vh
-    return _from_half_spectrum(stack, Y.shape[2])
+    with _one_blas_thread():
+        if top <= GRAM_RATIO * tau:
+            try:
+                return _from_half_spectrum(_gram_svt(stack, tau, pieces), Y.shape[2])
+            except np.linalg.LinAlgError:
+                pass  # eigh did not converge; the SVD, with its own retry, decides
+        U, s, Vh = _svd(stack)
+        s = np.maximum(s - tau, 0.0)
+        r = int(np.count_nonzero(s, axis=1).max())
+        # the factors replace the stack, so the stack takes the result
+        _blockwise(lambda b: np.matmul(U[b, :, :r] * s[b, None, :r], Vh[b, :r], out=stack[b]),
+                   pieces)
+        del U, Vh
+        return _from_half_spectrum(stack, Y.shape[2])
 
 
-def _gram_svt(stack: np.ndarray, tau: float, blocks: list) -> np.ndarray:
+def _gram_svt(stack: np.ndarray, tau: float, pieces: list) -> np.ndarray:
     """SVT of every slice from a batched eigh of the Gram matrices M^H M, written over the stack.
 
     M is the slice, or its conjugate transpose for a wide slice, so the Gram
@@ -96,7 +98,7 @@ def _gram_svt(stack: np.ndarray, tau: float, blocks: list) -> np.ndarray:
         return np.linalg.eigh(G)
 
     p = min(stack.shape[1:])
-    lam, V = _factor_blocks(factor, stack, blocks, ((p,), float), ((p, p), stack.dtype))
+    lam, V = _factor_blocks(factor, stack, pieces, ((p,), float), ((p, p), stack.dtype))
     # eigenvalues ascend, so the kept ones are the last columns of V
     s = np.sqrt(np.maximum(lam, 0.0))
     first = p - int(np.count_nonzero(s > tau, axis=1).max())
@@ -109,7 +111,7 @@ def _gram_svt(stack: np.ndarray, tau: float, blocks: list) -> np.ndarray:
         if wide:
             np.conjugate(out.swapaxes(1, 2), out=stack[b])
 
-    _blockwise(rebuild, blocks)
+    _blockwise(rebuild, pieces)
     return stack
 
 

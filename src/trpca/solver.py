@@ -95,11 +95,11 @@ def solve(X: np.ndarray, config: SolverConfig | None = None, callback=None) -> T
     flagged converged=False rather than raising.
 
     Steps 2 and 3, the three residuals and the next step 1's argument run as one pass over
-    row slabs of the tensor (``_update``), one slab per core from the parallel layer's
-    ``t_algebra.SLAB_FLOOR`` on, each slab in cache-sized blocks.  Step 1's argument is written
-    into one buffer that lives for the whole solve, and without a callback step 2 updates E in
-    place; step 2's argument and Y/mu exist only a block at a time.  Every expression keeps
-    the association written above, so the result has the same bits at any slab or block count.
+    cache-sized blocks of rows of the tensor (``_update``), in one row slab per core from the
+    parallel layer's ``t_algebra.SLAB_FLOOR`` on.  Step 1's argument is written into one buffer
+    that lives for the whole solve, and without a callback step 2 updates E in place; step 2's
+    argument and Y/mu exist only a block at a time.  Every expression keeps the association
+    written above, so the result has the same bits at any slab or block count.
 
     ``callback(k, L, E)``, when given, is invoked after every iteration; no later iteration
     writes to the arrays it receives.
@@ -123,8 +123,11 @@ def solve(X: np.ndarray, config: SolverConfig | None = None, callback=None) -> T
         L_new = tsvt(P, 1.0 / mu)
         E_new = E if callback is None else np.empty_like(X)
         mu_next = min(config.rho * mu, config.mu_max)
-        parts = t_algebra._each(_update, slabs, X, L, E, Y, L_new, E_new, P, mu, lam / mu, mu_next)
-        res = parts[0] if len(parts) == 1 else tuple(map(max, *parts))
+        parts = t_algebra._blockwise(
+            lambda b: _update(b, X, L, E, Y, L_new, E_new, P, mu, lam / mu, mu_next), slabs
+        )
+        # a fold of max from 0.0 skips a NaN block maximum at any block count
+        res = tuple(max(0.0, *values) for values in zip(*parts))
         history.append(res)
         L, E = L_new, E_new
         if callback is not None:
@@ -143,26 +146,24 @@ def solve(X: np.ndarray, config: SolverConfig | None = None, callback=None) -> T
     )
 
 
-def _update(rows, X, L, E, Y, L_new, E_new, P, mu, tau, mu_next) -> tuple:
-    """Steps 2 and 3 of ``solve`` on the rows ``rows``, block by block (``t_algebra._blocks``),
-    with tau = lam/mu: writes E_new, which may be E, updates Y, then writes the next
-    iteration's step-1 argument into P.  Returns the rows' three residual maxima."""
-    dl = de = dg = 0.0
-    for b in t_algebra._blocks(rows, X.shape):
-        x, l_new, e_new, y = X[b], L_new[b], E_new[b], Y[b]
-        B = np.subtract(x, l_new)
-        t = np.divide(y, mu)
-        B -= t  # X - L - Y/mu
-        _shrink(B, tau, t)  # E_new's block is written only once E's has been read
-        de = max(de, float(np.abs(np.subtract(t, E[b], out=B), out=B).max()))
-        e_new[...] = t
-        gap = np.add(l_new, e_new, out=B)
-        gap -= x
-        dl = max(dl, float(np.abs(np.subtract(l_new, L[b], out=t), out=t).max()))
-        y += np.multiply(mu, gap, out=t)
-        dg = max(dg, float(np.abs(gap, out=gap).max()))
-        p = np.subtract(x, e_new, out=P[b])
-        p -= np.divide(y, mu_next, out=t)
+def _update(b, X, L, E, Y, L_new, E_new, P, mu, tau, mu_next) -> tuple:
+    """Steps 2 and 3 of ``solve`` on the block of rows ``b``, with tau = lam/mu: writes E_new,
+    which may be E, updates Y, then writes the next iteration's step-1 argument into P.
+    Returns the block's three residual maxima."""
+    x, l_new, e_new, y = X[b], L_new[b], E_new[b], Y[b]
+    B = np.subtract(x, l_new)
+    t = np.divide(y, mu)
+    B -= t  # X - L - Y/mu
+    _shrink(B, tau, t)  # E_new's block is written only once E's has been read
+    de = float(np.abs(np.subtract(t, E[b], out=B), out=B).max())
+    e_new[...] = t
+    gap = np.add(l_new, e_new, out=B)
+    gap -= x
+    dl = float(np.abs(np.subtract(l_new, L[b], out=t), out=t).max())
+    y += np.multiply(mu, gap, out=t)
+    dg = float(np.abs(gap, out=gap).max())
+    p = np.subtract(x, e_new, out=P[b])
+    p -= np.divide(y, mu_next, out=t)
     return dl, de, dg
 
 

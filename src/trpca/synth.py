@@ -7,7 +7,7 @@ their per-trial seeds from (base_seed, cell row, cell column, trial index)
 through ``numpy``'s SeedSequence spawning, keeping trials independent and
 order-insensitive, so the grid runs them side by side through
 ``t_algebra._fork_map``: in forked processes where ``os.fork`` and the
-OpenBLAS pin exist, on threads elsewhere.
+OpenBLAS pin exist, one after another on the calling thread elsewhere.
 """
 
 from __future__ import annotations

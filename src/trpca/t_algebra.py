@@ -20,21 +20,19 @@ The t-product, the t-SVD and ``prox.tsvt`` go through them (``tsvt`` uses
 ``_svd`` call out as all the ranks, norms and rank-r factors that an
 inspection of a tensor needs.
 
-Every batched BLAS or LAPACK call runs with OpenBLAS pinned to one thread.  One
-work-sharing map, ``_map``, runs independent calls side by side on the calling
-thread and a private pool: above a work floor, ``PARALLEL_FLOOR``, ``_svd`` and
-``prox.tsvt`` map a stack in one chunk per core (``_chunks``), each chunk in
-blocks of slices (``_blockwise``); from ``SLAB_FLOOR``
-entries on, ``_half_spectrum``, ``_from_half_spectrum`` and the solver's
-elementwise update map a tensor in one row slab per core (``_slabs``), each
-slab in cache-sized blocks of rows.  The experiment harnesses map their
-independent solves with ``_fork_map``, which runs them in the calling process
-and in children forked for the map where ``os.fork`` and the pin exist, so that
-no two solves share one GIL, and through ``_map``'s threads elsewhere.  Below
-the floors, or inside a mapped solve, each stack is one chunk and each tensor
-one slab.  Chunks, blocks and slabs change no bit: LAPACK factors each matrix
-of a stack on its own, numpy's FFT transforms each tube on its own, and
-elementwise work has no order.
+Every batched BLAS or LAPACK call runs with OpenBLAS pinned to one thread.  Above a work
+floor, ``PARALLEL_FLOOR``, ``_svd`` and ``prox.tsvt`` cut a stack into one chunk of slices per
+core (``_chunks``); from ``SLAB_FLOOR`` entries on, ``_half_spectrum``,
+``_from_half_spectrum`` and the solver's elementwise update cut a tensor into one row slab per
+core (``_slabs``).  ``_blockwise`` works through each piece in cache-sized blocks, the pieces
+side by side through ``_map``, a fork-join of the calling thread and a private pool.  The
+experiment harnesses map their independent solves with ``_fork_map``, which runs them in the
+calling process and in children forked for the map, so that no two solves share one GIL;
+without ``os.fork`` or the pin, which is looked up only in the layout of numpy's Linux wheels,
+it runs them one after another on the calling thread.  Below the floors, or inside a mapped
+solve, each stack is one chunk and each tensor one slab.  Chunks, blocks and slabs change no
+bit: LAPACK factors each matrix of a stack on its own, numpy's FFT transforms each tube on its
+own, and elementwise work has no order.
 """
 
 from __future__ import annotations
@@ -96,11 +94,11 @@ def dft3(A: np.ndarray) -> np.ndarray:
 def _half_spectrum(A: np.ndarray) -> np.ndarray:
     """Spectral slices 0..n3//2 of A, whose conjugates are the rest, as an (h, n1, n2) stack.
 
-    Each block of rows of A goes through ``dft3`` on its own, in one row slab per core
-    (``_slabs``), and writes its half into the C-contiguous stack, so only a block's full
-    spectrum is held at a time.  Slice 0 and, for even n3, slice n3/2 are their own conjugates,
-    so they are real; their rounding residue is dropped so that their SVD factors, null spaces
-    included, are real too.  For n3 <= 2 those are all the slices, so the stack is float64.
+    Each block of rows of A (``_slabs``) goes through ``dft3`` on its own and writes its half
+    into the C-contiguous stack, so only a block's full spectrum is held at a time.  Slice 0
+    and, for even n3, slice n3/2 are their own conjugates, so they are real; their rounding
+    residue is dropped so that their SVD factors, null spaces included, are real too.  For
+    n3 <= 2 those are all the slices, so the stack is float64.
     """
     n1, n2, n3 = A.shape
     if n3 == 1:  # the DFT of length 1 is the identity
@@ -108,12 +106,11 @@ def _half_spectrum(A: np.ndarray) -> np.ndarray:
     h = n3 // 2 + 1
     stack = np.empty((h, n1, n2), dtype=np.float64 if n3 == 2 else np.complex128)
 
-    def half(rows):
-        for b in _blocks(rows, A.shape):
-            spectrum = np.moveaxis(dft3(A[b])[:, :, :h], 2, 0)
-            stack[:, b] = spectrum.real if n3 == 2 else spectrum
+    def half(b):
+        spectrum = np.moveaxis(dft3(A[b])[:, :, :h], 2, 0)
+        stack[:, b] = spectrum.real if n3 == 2 else spectrum
 
-    _each(half, _slabs(A.shape))
+    _blockwise(half, _slabs(A.shape))
     if n3 > 2:
         stack.imag[[0, n3 // 2] if n3 % 2 == 0 else [0]] = 0.0
     return stack
@@ -121,25 +118,22 @@ def _half_spectrum(A: np.ndarray) -> np.ndarray:
 
 def _from_half_spectrum(stack: np.ndarray, n3: int) -> np.ndarray:
     """The real n1 x n2 x n3 tensor whose first spectral slices are ``stack``, through ``irfft``
-    of each row slab; at n3 = 1 that is the (real) stack itself, which ``irfft`` would return
-    bit for bit, slower."""
+    of each block of rows (``_slabs``); at n3 = 1 that is the (real) stack itself, which
+    ``irfft`` would return bit for bit, slower."""
     T = np.moveaxis(stack, 0, 2)
     if n3 == 1:
         return np.ascontiguousarray(T)
     out = np.empty(T.shape[:2] + (n3,))
-
-    def inverse(rows):
-        np.fft.irfft(T[rows], n=n3, axis=2, out=out[rows])
-
-    _each(inverse, _slabs(out.shape))
+    _blockwise(lambda b: np.fft.irfft(T[b], n=n3, axis=2, out=out[b]), _slabs(out.shape))
     return out
 
 
 def _svd(stack: np.ndarray, compute_uv: bool = True):
-    """Thin SVD of every matrix in the stack, as (U, s, Vh), block by block (``_factor_blocks``);
-    without ``compute_uv`` U and Vh are None.  LAPACK's divide-and-conquer SVD (gesdd)
-    occasionally fails to converge on a finite matrix that its conjugate transpose factors fine,
-    so a failed block is retried once on the conjugate transposes with the factors swapped back."""
+    """Thin SVD of every matrix in the stack, as (U, s, Vh), block by block (``_factor_blocks``)
+    on one BLAS thread; without ``compute_uv`` U and Vh are None.  LAPACK's divide-and-conquer
+    SVD (gesdd) occasionally fails to converge on a finite matrix that its conjugate transpose
+    factors fine, so a failed block is retried once on the conjugate transposes with the
+    factors swapped back."""
 
     def factor(b):
         try:
@@ -154,24 +148,25 @@ def _svd(stack: np.ndarray, compute_uv: bool = True):
     _, n1, n2 = stack.shape
     k = min(n1, n2)
     U, Vh = [((n1, k), stack.dtype), ((k, n2), stack.dtype)] if compute_uv else [None, None]
-    blocks = [_blocks(c, stack.shape) for c in _chunks(stack)]
-    return _factor_blocks(factor, stack, blocks, U, ((k,), float), Vh)
+    with _one_blas_thread():
+        return _factor_blocks(factor, stack, _chunks(stack), U, ((k,), float), Vh)
 
 
-def _blockwise(fn, blocks: list) -> None:
-    """``fn(b)`` for each block in ``blocks``, a list of blocks of slices (``_blocks``) for each
-    chunk (``_chunks``) of a stack, each chunk's blocks in one ``_map`` call."""
-    _map(lambda chunk: [fn(b) for b in chunk], blocks)
+def _blockwise(fn, pieces: list) -> list:
+    """``[fn(b) for b in blocks]`` over the blocks of ``pieces`` (``_chunks`` or ``_slabs``) in
+    order, each piece's blocks in one ``_map`` call, so one piece is a plain loop."""
+    return [out for piece in _map(lambda blocks: [fn(b) for b in blocks], pieces) for out in piece]
 
 
-def _factor_blocks(factor, stack: np.ndarray, blocks: list, *parts) -> tuple:
-    """``factor(slice(0, h))`` of a stack of h slices in these blocks, ``factor(b)`` giving one
-    array of slices ``b`` per (shape, dtype) or None in ``parts``, computed by ``_blockwise`` into
-    outputs (h,) + shape allocated here, so no full-size output is made on a pool thread.  One
-    block is one call, whose own outputs are returned: copying them cost a 64x64 colour
-    ``denoise --baseline`` 14,000 minor page faults (181 without) and 6% more time."""
-    if len(blocks) == 1 and len(blocks[0]) == 1:
-        return _map(factor, blocks[0])[0]
+def _factor_blocks(factor, stack: np.ndarray, pieces: list, *parts) -> tuple:
+    """``factor(slice(0, h))`` of a stack of h slices in the blocks of ``pieces`` (``_chunks``),
+    ``factor(b)`` giving one array of slices ``b`` per (shape, dtype) or None in ``parts``,
+    computed by ``_blockwise`` into outputs (h,) + shape allocated here, so no full-size output
+    is made on a pool thread.  One block is one plain call, whose own outputs are returned:
+    copying them cost a 64x64 colour ``denoise --baseline`` 14,000 minor page faults (181
+    without) and 6% more time.  The caller holds the BLAS pin."""
+    if len(pieces) == 1 and len(pieces[0]) == 1:
+        return factor(pieces[0][0])
     outs = [None if p is None else np.empty(stack.shape[:1] + p[0], dtype=p[1]) for p in parts]
 
     def write(b):
@@ -179,19 +174,21 @@ def _factor_blocks(factor, stack: np.ndarray, blocks: list, *parts) -> tuple:
             if out is not None:
                 out[b] = value
 
-    _blockwise(write, blocks)
+    _blockwise(write, pieces)
     return tuple(outs)
 
 
 # Parallel layer.  OpenBLAS splits each small LAPACK call of a batch over its
 # own threads, which is slower than one thread.  numpy's linalg and matmul
 # release the GIL, so every batched BLAS or LAPACK call runs with OpenBLAS
-# pinned to one thread, and independent calls (the slices of a large stack in
-# contiguous chunks, the rows of a large tensor in contiguous slabs) run on the
-# calling thread and on helpers submitted to the pool.  A map cancels
-# its helpers that have not started by the time its calls run out, so it never
-# waits behind another map's work.  Per matrix and per tube the result has the
-# same bits at any chunking, any worker count and any OPENBLAS_NUM_THREADS.
+# pinned to one thread, and the pieces of one stack or tensor (the slices of a
+# large stack in contiguous chunks, the rows of a large tensor in contiguous
+# slabs) run on the calling thread and on the pool.  The pin is taken where BLAS
+# is called: ``prox.tsvt`` holds it from its route decision on, ``_svd`` around
+# its factorization, ``tprod``, ``tprod_oracle``, ``tensor_core.norm_fro`` and
+# ``solver._incoherence`` around their products, and ``_map`` while its pieces
+# run on the pool.  Per matrix and per tube the result has the same bits at any
+# chunking, any worker count and any OPENBLAS_NUM_THREADS.
 # Without the pin there is no split, since each call would then start its own
 # BLAS threads.  An unpinned call also leaves OpenBLAS's worker spinning: after a
 # (51, 100, 10) @ (51, 10, 100) complex product a 0.3 s sleep took 0.124 s of
@@ -219,10 +216,10 @@ PARALLEL_FLOOR = 600_000
 # 8.68 / 7.75, 56^3 (175616) 24.3 / 20.4.  So the split pays from about 45000 entries on.
 SLAB_FLOOR = 50_000
 
-# Each slab is worked through in blocks of rows of about _BLOCK entries, so that temporaries
-# stay in cache and small.  Large temporaries made on pool threads would stay in those
-# threads' malloc arenas after they are freed: with whole-slab transforms, three inspections
-# of a 100^3 tensor raised the peak RSS from 88.5 to 96.0 MiB (82.5 MiB in blocks).  The
+# Each chunk and slab is worked through in blocks of rows of about _BLOCK entries, so that
+# temporaries stay in cache and small.  Large temporaries made on pool threads would stay in
+# those threads' malloc arenas after they are freed: with whole-slab transforms, three
+# inspections of a 100^3 tensor raised the peak RSS from 88.5 to 96.0 MiB (82.5 in blocks).  The
 # solver's update of a 100^3 tensor in two slabs took 19-21 ms in blocks of 3 rows (2^15
 # entries), 18 ms in blocks of 6 and 25-27 ms in whole slabs; in one slab, 22-27 ms in
 # blocks of 3 rows and 45-60 ms whole (medians of 15 and 10, two runs; 2-vCPU Xeon).  Whole
@@ -239,7 +236,7 @@ _lock = threading.Lock()  # guards the pool and the pin below
 _blas = None  # (get, set) thread count of numpy's OpenBLAS, () when absent
 _pin_depth = 0
 _pin_saved = 0
-_task = threading.local()  # .busy while this thread runs a call of a shared map
+_task = threading.local()  # .busy while this thread runs a call of a map of two or more
 
 
 def _above_floor(stack: np.ndarray) -> bool:
@@ -294,97 +291,69 @@ def _in_task() -> bool:
     return getattr(_task, "busy", False)
 
 
-def _split(n: int, above_floor: bool) -> list[slice]:
+def _split(shape: tuple, above_floor: bool) -> list[list[slice]]:
+    """The rows (first-axis indices) of an array of this shape in blocks of about ``_BLOCK``
+    entries and at least one row each, grouped in one contiguous piece per core when
+    ``above_floor``, OpenBLAS can be pinned and the caller is not in a map task; else in one."""
+    n, step = shape[0], max(1, _BLOCK // (shape[1] * shape[2]))
     k = min(_WORKERS + 1, n) if above_floor and _openblas() and not _in_task() else 1
-    return [slice(0, n)] if k == 1 else [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+    if k == 1 and n <= step:  # the common case of small arrays, without a loop
+        return [[slice(0, n)]]
+    edges = [n * i // k for i in range(k + 1)]
+    return [[slice(i, min(i + step, stop)) for i in range(start, stop, step)]
+            for start, stop in zip(edges, edges[1:])]
 
 
-def _chunks(stack: np.ndarray) -> list[slice]:
-    """Contiguous slices of the stack's leading axis, one per core, or the whole axis in one
-    slice below ``PARALLEL_FLOOR``, when OpenBLAS cannot be pinned, or inside a map task."""
-    return _split(stack.shape[0], _above_floor(stack))
+def _chunks(stack: np.ndarray) -> list[list[slice]]:
+    """Blocks of slices of the stack, in one chunk per core from ``PARALLEL_FLOOR`` on
+    (``_split``)."""
+    return _split(stack.shape, _above_floor(stack))
 
 
-def _slabs(shape: tuple) -> list[slice]:
-    """Contiguous row slabs (slices of the first axis) of a tensor of this shape, one per core
-    from ``SLAB_FLOOR`` entries on, or all rows in one slab below it, when OpenBLAS cannot be
-    pinned, or inside a map task."""
-    return _split(shape[0], shape[0] * shape[1] * shape[2] >= SLAB_FLOOR)
-
-
-def _blocks(rows: slice, shape: tuple) -> list[slice]:
-    """The rows ``rows`` of a tensor of this shape, cut into blocks of about ``_BLOCK`` entries
-    and at least one row each."""
-    step = max(1, _BLOCK // (shape[1] * shape[2]))
-    if rows.stop - rows.start <= step:  # the common case of small tensors, without a loop
-        return [rows]
-    return [slice(i, min(i + step, rows.stop)) for i in range(rows.start, rows.stop, step)]
-
-
-def _each(fn, slabs: list, *args) -> list:
-    """``[fn(rows, *args) for rows in slabs]``, the slabs shared out through ``_map`` when
-    there are several; a single slab is a plain call."""
-    if len(slabs) == 1:
-        return [fn(slabs[0], *args)]
-    return _map(lambda rows: fn(rows, *args), slabs)
+def _slabs(shape: tuple) -> list[list[slice]]:
+    """Blocks of rows of a tensor of this shape, in one row slab per core from ``SLAB_FLOOR``
+    entries on (``_split``)."""
+    return _split(shape, shape[0] * shape[1] * shape[2] >= SLAB_FLOOR)
 
 
 def _map(fn, *iterables) -> list:
-    """``list(map(fn, *iterables))``, the calls shared out on one BLAS thread.
+    """``list(map(fn, *iterables))`` as a fork-join of the pieces of one stack or tensor.
 
-    The calling thread and up to ``_WORKERS`` helpers submitted to the pool take the calls
-    from one shared iterator, so uneven calls balance.  Once the calls run out, a call raises
-    or the caller is interrupted, the caller cancels every helper that has not started and
-    waits only for those that did, so a busy pool leaves every call to the calling thread.
-    While a thread runs a call of a map of two or more calls it is in a task: ``_chunks``
-    and ``_slabs`` give it one piece and its nested maps submit no helper.  Without the pin
-    there is no helper.
-
-    Once a call raises, no further call starts; the first failed call's error is raised
-    after every started call has finished, so none is still running when the pin is lifted
-    or the caller falls back.
+    One call is a plain call.  Of two or more, outside a task, with the pin and a pool, call 0
+    runs on the calling thread and the others on the pool, all on one BLAS thread; otherwise
+    they run here one after another.  Every call of such a map runs in a task: ``_chunks`` and
+    ``_slabs`` give it one piece and its nested maps submit nothing.  The lowest failed call's
+    error is raised once every started call has finished, so none is still running when the
+    pin is lifted or the caller falls back.
     """
     calls = list(zip(*iterables))
-    results, errors = [None] * len(calls), {}
-    order, take = iter(range(len(calls))), threading.Lock()
+    if len(calls) < 2:
+        return [fn(*args) for args in calls]
 
-    def work():
-        busy = _in_task()
-        _task.busy = busy or len(calls) > 1
+    def task(*args):
+        busy, _task.busy = _in_task(), True
         try:
-            while not errors:
-                with take:
-                    i = next(order, None)
-                if i is None:
-                    break
-                try:
-                    results[i] = fn(*calls[i])
-                except Exception as exc:
-                    errors[i] = exc
+            return fn(*args)
         finally:
             _task.busy = busy
 
+    if _in_task() or _WORKERS < 1 or not _openblas():
+        return [task(*args) for args in calls]
+    # concurrent.futures, which imports logging, would add about 6 ms to importing trpca
+    from concurrent.futures import wait
+
     with _one_blas_thread():
-        k = min(_WORKERS, len(calls) - 1) if not _in_task() and _openblas() else 0
-        helpers = [_executor().submit(work) for _ in range(k)]
+        rest = [_executor().submit(task, *args) for args in calls[1:]]
         try:
-            work()
+            first = task(*calls[0])
         finally:
-            with take:  # an interrupt of this thread stops the helpers too
-                for _ in order:
-                    pass
-            for f in helpers:
-                if not f.cancel():
-                    f.result()
-    fn = calls = None  # a pool thread may hold a finished helper a moment longer: free fn's closure
-    if errors:
-        raise errors[min(errors)]
-    return results
+            wait(rest)
+            fn = calls = None  # a pool thread may hold a finished task a moment longer
+    return [first] + [f.result() for f in rest]
 
 
 def _executor():
     """The private pool, made on first use."""
-    # concurrent.futures, which imports logging, would add about 6 ms to importing trpca
     from concurrent.futures import ThreadPoolExecutor
 
     global _pool
@@ -418,18 +387,21 @@ def _fork_map(fn, *iterables) -> list:
     second thread and 0.56 s beside them run in a forked child (medians of 10; 2-vCPU Xeon,
     one BLAS thread).  Every process takes call indices from one pipe, so uneven calls balance;
     the one that takes index i puts back i + ``_WINDOW``, so the pipe runs empty only once the
-    calls have run out.  Every process runs its calls as ``_map``'s tasks do, on one BLAS
-    thread and in a task, so each solve has the same bits in any process.  A child sends its
-    ``(index, result, exception)`` triples back pickled once the calls have run out and leaves
-    only through ``os._exit``, so what it printed but did not flush is lost.  The pool's idle
-    threads hold no lock that a child takes: ``_reset_after_fork`` gives it a new pool and lock.
+    calls have run out.  Every process runs its calls on one BLAS thread and in a task, so each
+    solve keeps every stack and tensor in one piece and has the same bits in any process.  A
+    child sends its ``(index, result, exception)`` triples back pickled once the calls have run
+    out and leaves only through ``os._exit``, so what it printed but did not flush is lost.  The
+    pool's idle threads hold no lock that a child takes: ``_reset_after_fork`` gives it a new
+    pool and lock.
 
-    Errors behave as in ``_map``: once a call raises, no further call starts, and the exception
-    of the lowest failed index is raised, with its own type, after every started call has
-    finished.  One that cannot be pickled comes back as a RuntimeError carrying its repr, and a
-    child that ends without sending its results raises an error naming its status.  Every child
-    is reaped on every path; an interrupt kills them first.  Without ``os.fork`` or the pin, at
-    ``_WORKERS == 0``, for one call or inside a task, this is ``_map``.
+    Once a call raises, it sets a stop flag shared with every process, and no process starts a
+    further call; the exception of the lowest failed index is raised, with its own type, after
+    every child has been reaped.  One that cannot be pickled comes back as a RuntimeError
+    carrying its repr, and a child that ends without sending its results raises an error naming
+    its status, at the lowest index without an outcome.  Every child is reaped on every path; an
+    interrupt kills them first.  Without ``os.fork`` or the pin, at ``_WORKERS == 0``, for one
+    call or inside a task, this is ``_map``, which then runs the calls one after another on the
+    calling thread.
     """
     calls = list(zip(*iterables))
     n = len(calls)

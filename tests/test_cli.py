@@ -607,6 +607,20 @@ class TestTable1BlasThreads:
         assert outputs[0] == outputs[1]
 
 
+class TestImportCost:
+    def test_import_loads_no_pool_or_process_module(self):
+        # the parallel layer imports these only when it first maps or forks
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        lazy = ["concurrent.futures", "logging", "multiprocessing", "mmap"]
+        code = f"import sys, trpca; print([m for m in {lazy!r} if m in sys.modules])"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert out.stdout.strip() == "[]"
+
+
 class TestNoBusyBlasThread:
     """Every batched BLAS call runs on one BLAS thread, so no OpenBLAS worker is woken to
     spin on after the call and take a core from the next parallel stage."""

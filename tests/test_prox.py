@@ -354,11 +354,11 @@ class TestParallelLayer:
             monkeypatch.setattr(ta, "_WORKERS", workers)
             chunks = ta._chunks(stack)
             assert len(chunks) == workers + 1
-            assert chunks[0].start == 0 and chunks[-1].stop == stack.shape[0]
-            assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+            assert chunks[0][0].start == 0 and chunks[-1][-1].stop == stack.shape[0]
+            assert all(a[-1].stop == b[0].start for a, b in zip(chunks, chunks[1:]))
             calls.clear()
             outs.append(tsvt(Y, 1.0))
-            assert sorted(calls) == sorted((route, c.stop - c.start) for c in chunks)
+            assert sorted(calls) == sorted((route, b.stop - b.start) for c in chunks for b in c)
         assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
 
     def test_failed_chunk_falls_back_and_restores_pin(self, rng, monkeypatch, blas_threads):
@@ -411,7 +411,7 @@ class TestParallelLayer:
         for workers, block in [(0, default), (1, default), (2, default), (0, 1), (2, 1)]:
             monkeypatch.setattr(ta, "_WORKERS", workers)
             monkeypatch.setattr(ta, "_BLOCK", block)
-            blocks = [b for c in ta._chunks(stack) for b in ta._blocks(c, stack.shape)]
+            blocks = [b for c in ta._chunks(stack) for b in c]
             calls.clear()
             assert tsvt(Y, 1.0).tobytes() == whole.tobytes()
             # one factorization per block, one call when the stack is one block
@@ -492,6 +492,38 @@ class TestParallelLayer:
         assert blas_threads() == before
 
 
+class TestBlasPin:
+    """``tsvt`` and ``_svd`` pin OpenBLAS to one thread where they call BLAS, so a stack or
+    tensor in one piece, which ``_map`` runs as a plain call, is pinned too."""
+
+    @pytest.mark.parametrize("n3", [1, 8])
+    def test_every_batched_call_runs_on_one_blas_thread(self, rng, monkeypatch, blas_threads, n3):
+        monkeypatch.setattr(ta, "_WORKERS", 0)
+        seen = []
+        for owner, name in [(np.linalg, "eigh"), (np.linalg, "svd"), (np, "matmul")]:
+
+            def spy(*args, _f=getattr(owner, name), _name=name, **kwargs):
+                seen.append((_name, blas_threads()))
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+        Y = random_tensor(rng, 30, 20, n3)
+        top = np.linalg.norm(ta._half_spectrum(Y), axis=(1, 2)).max()
+        before, set_threads = blas_threads(), ta._openblas()[1]
+        set_threads(2)
+        try:
+            tsvt(Y, top / 10)  # the Gram route
+            tsvt(Y, top / 1e3)  # the SVD route
+            ta._sweep(Y, factors=True)
+            ta.tsvd(Y)
+            after = blas_threads()
+        finally:
+            set_threads(before)
+        assert {name for name, _ in seen} == {"eigh", "svd", "matmul"}
+        assert [count for _, count in seen] == [1] * len(seen)
+        assert after == 2 and ta._pin_depth == 0
+
+
 class TestTracedMemory:
     """Traced peak of one ``tsvt`` above the work floor, on two threads, in sizes of its real
     n1 x n2 x n3 argument.  The half spectrum and the result take about one each; the Gram route
@@ -552,42 +584,9 @@ class TestWorkSharingMap:
         assert calls == [(route, stack.shape[0])] * 3
         assert all(np.array_equal(out, expected) for out in outs)
 
-    def test_completes_while_the_pool_is_blocked(self, fresh_pool, blas_threads):
+    def test_calls_run_on_the_caller_and_the_pool(self, fresh_pool, blas_threads):
+        # three calls that wait for each other all run, one on the calling thread
         fresh_pool(2)
-        release = threading.Event()
-        blocked, holding = [], set()
-
-        def hold(_):
-            holding.add(threading.get_ident())
-            return release.wait(60)
-
-        # a map on another thread holds every pool thread until released
-        other = threading.Thread(target=lambda: blocked.append(ta._map(hold, range(4))))
-        other.start()
-        seen = set()
-
-        def square(x):
-            seen.add(threading.get_ident())
-            return x * x
-
-        try:
-            for _ in range(500):
-                if len(holding) == 3:
-                    break
-                time.sleep(0.01)
-            assert len(holding) == 3
-            done = []
-            mine = threading.Thread(target=lambda: done.append(ta._map(square, range(6))))
-            mine.start()
-            mine.join(timeout=60)
-            assert not mine.is_alive()
-        finally:
-            release.set()
-            other.join(timeout=60)
-        assert not other.is_alive()
-        assert done == [[0, 1, 4, 9, 16, 25]] and seen == {mine.ident}
-        assert blocked == [[True] * 4]
-        # the pool threads are free again: three calls that wait for each other all run
         meet = threading.Barrier(3, timeout=60)
 
         def where(_):
@@ -597,21 +596,34 @@ class TestWorkSharingMap:
         ran_on = ta._map(where, range(3))
         assert len(set(ran_on)) == 3 and threading.get_ident() in ran_on
 
+    def test_nested_map_runs_on_its_task_thread(self, fresh_pool, blas_threads):
+        fresh_pool(2)
+
+        def outer(_):
+            here = threading.get_ident()
+            inner = ta._map(lambda k: (k, threading.get_ident()), range(4))
+            return here, inner
+
+        outs = ta._map(outer, range(2))
+        assert len({here for here, _ in outs}) == 2
+        for here, inner in outs:
+            assert inner == [(k, here) for k in range(4)]
+
     def test_error_is_raised_after_every_started_call(self, fresh_pool, blas_threads):
         fresh_pool(1)
         before = blas_threads()
-        started, finished = threading.Event(), []
+        failed, finished = threading.Event(), []
 
         def call(k):
-            if k == 1:  # on the other thread, once call 0 has started
-                started.wait(60)
+            if k == 1:  # on the pool, while call 0 sleeps on the calling thread
+                failed.set()
                 raise ValueError("call 1 failed")
-            started.set()
+            assert failed.wait(60)
             time.sleep(0.2)
             finished.append(k)
 
         with pytest.raises(ValueError, match="call 1 failed"):
-            ta._map(call, range(4))
+            ta._map(call, range(2))
         assert finished == [0]
         assert blas_threads() == before and ta._pin_depth == 0
 
