@@ -25,7 +25,7 @@ floor, ``PARALLEL_FLOOR``, ``_svd`` and ``prox.tsvt`` cut a stack into one chunk
 core (``_chunks``); from ``SLAB_FLOOR`` entries on, ``_half_spectrum``,
 ``_from_half_spectrum`` and the solver's elementwise update cut a tensor into one row slab per
 core (``_slabs``).  ``_blockwise`` works through each piece in cache-sized blocks, the pieces
-side by side through ``_map``, a fork-join of the calling thread and a private pool.  The
+side by side in a fork-join of the calling thread and a private pool.  The
 experiment harnesses map their independent solves with ``_fork_map``, which runs them in the
 calling process and in children forked for the map, so that no two solves share one GIL;
 without ``os.fork`` or the pin, which is looked up only in the layout of numpy's Linux wheels,
@@ -118,13 +118,15 @@ def _half_spectrum(A: np.ndarray) -> np.ndarray:
 
 def _from_half_spectrum(stack: np.ndarray, n3: int) -> np.ndarray:
     """The real n1 x n2 x n3 tensor whose first spectral slices are ``stack``, through ``irfft``
-    of each block of rows (``_slabs``); at n3 = 1 that is the (real) stack itself, which
-    ``irfft`` would return bit for bit, slower."""
+    of each row slab (``_slabs``); in blocks of rows the peak RSS of the ``inspect_100``
+    benchmark read 84.88-85.79 MiB against 84.90-85.02 (5 runs each; 2-vCPU Xeon).  At n3 = 1
+    that is the (real) stack itself, which ``irfft`` would return bit for bit, slower."""
     T = np.moveaxis(stack, 0, 2)
     if n3 == 1:
         return np.ascontiguousarray(T)
     out = np.empty(T.shape[:2] + (n3,))
-    _blockwise(lambda b: np.fft.irfft(T[b], n=n3, axis=2, out=out[b]), _slabs(out.shape))
+    slabs = [[slice(p[0].start, p[-1].stop)] for p in _slabs(out.shape)]
+    _blockwise(lambda b: np.fft.irfft(T[b], n=n3, axis=2, out=out[b]), slabs)
     return out
 
 
@@ -154,8 +156,37 @@ def _svd(stack: np.ndarray, compute_uv: bool = True):
 
 def _blockwise(fn, pieces: list) -> list:
     """``[fn(b) for b in blocks]`` over the blocks of ``pieces`` (``_chunks`` or ``_slabs``) in
-    order, each piece's blocks in one ``_map`` call, so one piece is a plain loop."""
-    return [out for piece in _map(lambda blocks: [fn(b) for b in blocks], pieces) for out in piece]
+    order: the fork-join of the parallel layer.  One piece, or pieces inside a task, is a plain
+    loop.  Otherwise piece 0 runs on the calling thread and the others on a private pool, each
+    in a task, so its nested ``_chunks`` and ``_slabs`` give one piece and its nested fork-joins
+    are plain loops.  Pieces that call BLAS run under their caller's pin.  The lowest failed
+    piece's error is raised once every piece has finished, so none is still running when the
+    caller's pin is lifted or its fallback runs."""
+    if len(pieces) == 1 or _in_task():
+        return [fn(b) for blocks in pieces for b in blocks]
+    # concurrent.futures, which imports logging, would add about 6 ms to importing trpca
+    from concurrent.futures import ThreadPoolExecutor, wait
+
+    global _pool
+    with _lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(_WORKERS, 1), thread_name_prefix="trpca")
+        pool = _pool
+
+    def task(blocks):
+        _task.busy = True
+        try:
+            return [fn(b) for b in blocks]
+        finally:
+            _task.busy = False
+
+    rest = [pool.submit(task, blocks) for blocks in pieces[1:]]
+    try:
+        first = task(pieces[0])
+    finally:
+        wait(rest)
+        fn = None  # a pool thread may hold a finished task a moment longer
+    return first + [out for f in rest for out in f.result()]
 
 
 def _factor_blocks(factor, stack: np.ndarray, pieces: list, *parts) -> tuple:
@@ -185,9 +216,10 @@ def _factor_blocks(factor, stack: np.ndarray, pieces: list, *parts) -> tuple:
 # large stack in contiguous chunks, the rows of a large tensor in contiguous
 # slabs) run on the calling thread and on the pool.  The pin is taken where BLAS
 # is called: ``prox.tsvt`` holds it from its route decision on, ``_svd`` around
-# its factorization, ``tprod``, ``tprod_oracle``, ``tensor_core.norm_fro`` and
-# ``solver._incoherence`` around their products, and ``_map`` while its pieces
-# run on the pool.  Per matrix and per tube the result has the same bits at any
+# its factorization, and ``tprod``, ``tprod_oracle``, ``tensor_core.norm_fro`` and
+# ``solver._incoherence`` around their products; the other pieces (the
+# transforms, the route guard's norms, the solver's update) run only FFTs and
+# ufuncs.  Per matrix and per tube the result has the same bits at any
 # chunking, any worker count and any OPENBLAS_NUM_THREADS.
 # Without the pin there is no split, since each call would then start its own
 # BLAS threads.  An unpinned call also leaves OpenBLAS's worker spinning: after a
@@ -216,15 +248,15 @@ PARALLEL_FLOOR = 600_000
 # 8.68 / 7.75, 56^3 (175616) 24.3 / 20.4.  So the split pays from about 45000 entries on.
 SLAB_FLOOR = 50_000
 
-# Each chunk and slab is worked through in blocks of rows of about _BLOCK entries, so that
-# temporaries stay in cache and small.  Large temporaries made on pool threads would stay in
-# those threads' malloc arenas after they are freed: with whole-slab transforms, three
-# inspections of a 100^3 tensor raised the peak RSS from 88.5 to 96.0 MiB (82.5 in blocks).  The
-# solver's update of a 100^3 tensor in two slabs took 19-21 ms in blocks of 3 rows (2^15
-# entries), 18 ms in blocks of 6 and 25-27 ms in whole slabs; in one slab, 22-27 ms in
-# blocks of 3 rows and 45-60 ms whole (medians of 15 and 10, two runs; 2-vCPU Xeon).  Whole
-# 25-iteration solves ran as fast or faster with 2^15 as with 2^16 at 100^3, 56^3 and
-# 200x200x8.
+# Each chunk and slab but the inverse transform's goes in blocks of rows of about _BLOCK
+# entries, so that temporaries stay in cache and small.  Large temporaries made on pool threads
+# would stay in those threads' malloc arenas after they are freed: with whole-slab forward
+# transforms, three inspections of a 100^3 tensor raised the peak RSS from 88.5 to 96.0 MiB
+# (82.5 in blocks).  The solver's update of a 100^3 tensor in two slabs took 19-21 ms in
+# blocks of 3 rows (2^15 entries), 18 ms in blocks of 6 and 25-27 ms in whole slabs; in one
+# slab, 22-27 ms in blocks of 3 rows and 45-60 ms whole (medians of 15 and 10, two runs;
+# 2-vCPU Xeon).  Whole 25-iteration solves ran as fast or faster with 2^15 as with 2^16 at
+# 100^3, 56^3 and 200x200x8.
 _BLOCK = 1 << 15
 
 # worker threads besides the calling one; the pool is made on first use
@@ -236,7 +268,7 @@ _lock = threading.Lock()  # guards the pool and the pin below
 _blas = None  # (get, set) thread count of numpy's OpenBLAS, () when absent
 _pin_depth = 0
 _pin_saved = 0
-_task = threading.local()  # .busy while this thread runs a call of a map of two or more
+_task = threading.local()  # .busy while this thread runs a piece of a fork-join or a forked map
 
 
 def _above_floor(stack: np.ndarray) -> bool:
@@ -294,7 +326,7 @@ def _in_task() -> bool:
 def _split(shape: tuple, above_floor: bool) -> list[list[slice]]:
     """The rows (first-axis indices) of an array of this shape in blocks of about ``_BLOCK``
     entries and at least one row each, grouped in one contiguous piece per core when
-    ``above_floor``, OpenBLAS can be pinned and the caller is not in a map task; else in one."""
+    ``above_floor``, OpenBLAS can be pinned and the caller is not in a task; else in one."""
     n, step = shape[0], max(1, _BLOCK // (shape[1] * shape[2]))
     k = min(_WORKERS + 1, n) if above_floor and _openblas() and not _in_task() else 1
     if k == 1 and n <= step:  # the common case of small arrays, without a loop
@@ -314,53 +346,6 @@ def _slabs(shape: tuple) -> list[list[slice]]:
     """Blocks of rows of a tensor of this shape, in one row slab per core from ``SLAB_FLOOR``
     entries on (``_split``)."""
     return _split(shape, shape[0] * shape[1] * shape[2] >= SLAB_FLOOR)
-
-
-def _map(fn, *iterables) -> list:
-    """``list(map(fn, *iterables))`` as a fork-join of the pieces of one stack or tensor.
-
-    One call is a plain call.  Of two or more, outside a task, with the pin and a pool, call 0
-    runs on the calling thread and the others on the pool, all on one BLAS thread; otherwise
-    they run here one after another.  Every call of such a map runs in a task: ``_chunks`` and
-    ``_slabs`` give it one piece and its nested maps submit nothing.  The lowest failed call's
-    error is raised once every started call has finished, so none is still running when the
-    pin is lifted or the caller falls back.
-    """
-    calls = list(zip(*iterables))
-    if len(calls) < 2:
-        return [fn(*args) for args in calls]
-
-    def task(*args):
-        busy, _task.busy = _in_task(), True
-        try:
-            return fn(*args)
-        finally:
-            _task.busy = busy
-
-    if _in_task() or _WORKERS < 1 or not _openblas():
-        return [task(*args) for args in calls]
-    # concurrent.futures, which imports logging, would add about 6 ms to importing trpca
-    from concurrent.futures import wait
-
-    with _one_blas_thread():
-        rest = [_executor().submit(task, *args) for args in calls[1:]]
-        try:
-            first = task(*calls[0])
-        finally:
-            wait(rest)
-            fn = calls = None  # a pool thread may hold a finished task a moment longer
-    return [first] + [f.result() for f in rest]
-
-
-def _executor():
-    """The private pool, made on first use."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    global _pool
-    with _lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max(_WORKERS, 1), thread_name_prefix="trpca")
-        return _pool
 
 
 def _reset_after_fork() -> None:
@@ -400,14 +385,13 @@ def _fork_map(fn, *iterables) -> list:
     carrying its repr, and a child that ends without sending its results raises an error naming
     its status, at the lowest index without an outcome.  Every child is reaped on every path; an
     interrupt kills them first.  Without ``os.fork`` or the pin, at ``_WORKERS == 0``, for one
-    call or inside a task, this is ``_map``, which then runs the calls one after another on the
-    calling thread.
+    call or inside a task, the calls run one after another on the calling thread.
     """
     calls = list(zip(*iterables))
     n = len(calls)
     k = min(_WORKERS, n - 1)
     if k < 1 or not hasattr(os, "fork") or _in_task() or not _openblas():
-        return _map(fn, *zip(*calls))
+        return [fn(*args) for args in calls]
     import mmap
     import signal
 

@@ -494,20 +494,30 @@ class TestParallelLayer:
 
 class TestBlasPin:
     """``tsvt`` and ``_svd`` pin OpenBLAS to one thread where they call BLAS, so a stack or
-    tensor in one piece, which ``_map`` runs as a plain call, is pinned too."""
+    tensor in one piece, which ``_blockwise`` runs as a plain loop, is pinned too, and so are
+    the pieces that ``_blockwise`` runs on the pool, which take no pin of their own."""
 
-    @pytest.mark.parametrize("n3", [1, 8])
-    def test_every_batched_call_runs_on_one_blas_thread(self, rng, monkeypatch, blas_threads, n3):
-        monkeypatch.setattr(ta, "_WORKERS", 0)
+    @pytest.mark.parametrize(
+        "workers, shape",
+        [
+            pytest.param(0, (30, 20, 1), id="1"),
+            pytest.param(0, (30, 20, 8), id="8"),
+            pytest.param(1, (80, 50, 8), id="pool"),  # above the floor: one chunk per thread
+        ],
+    )
+    def test_every_batched_call_runs_on_one_blas_thread(
+        self, rng, monkeypatch, blas_threads, workers, shape
+    ):
+        monkeypatch.setattr(ta, "_WORKERS", workers)
         seen = []
         for owner, name in [(np.linalg, "eigh"), (np.linalg, "svd"), (np, "matmul")]:
 
             def spy(*args, _f=getattr(owner, name), _name=name, **kwargs):
-                seen.append((_name, blas_threads()))
+                seen.append((_name, blas_threads(), threading.get_ident()))
                 return _f(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, spy)
-        Y = random_tensor(rng, 30, 20, n3)
+        Y = random_tensor(rng, *shape)
         top = np.linalg.norm(ta._half_spectrum(Y), axis=(1, 2)).max()
         before, set_threads = blas_threads(), ta._openblas()[1]
         set_threads(2)
@@ -519,9 +529,11 @@ class TestBlasPin:
             after = blas_threads()
         finally:
             set_threads(before)
-        assert {name for name, _ in seen} == {"eigh", "svd", "matmul"}
-        assert [count for _, count in seen] == [1] * len(seen)
+        assert {name for name, _, _ in seen} == {"eigh", "svd", "matmul"}
+        assert [count for _, count, _ in seen] == [1] * len(seen)
         assert after == 2 and ta._pin_depth == 0
+        on_pool = {name for name, _, thread in seen if thread != threading.get_ident()}
+        assert on_pool == ({"eigh", "svd", "matmul"} if workers else set())
 
 
 class TestTracedMemory:
@@ -556,11 +568,11 @@ class TestTracedMemory:
 
 
 class TestWorkSharingMap:
-    """``t_algebra._map`` shares its calls between the calling thread and the pool."""
+    """``t_algebra._blockwise`` shares its pieces between the calling thread and the pool."""
 
     @pytest.fixture
     def fresh_pool(self, monkeypatch):
-        """Make the map use a new pool of ``workers`` threads, shut down afterwards."""
+        """Make ``_blockwise`` use a new pool of ``workers`` threads, shut down afterwards."""
 
         def make(workers):
             monkeypatch.setattr(ta, "_WORKERS", workers)
@@ -580,7 +592,7 @@ class TestWorkSharingMap:
         fresh_pool(1)
         expected = tsvt(Y, 1.0)
         calls = TestParallelLayer.factorizations(monkeypatch)
-        outs = ta._map(lambda Y: tsvt(Y, 1.0), [Y, Y, Y])
+        outs = ta._blockwise(lambda Y: tsvt(Y, 1.0), [[Y], [Y], [Y]])
         assert calls == [(route, stack.shape[0])] * 3
         assert all(np.array_equal(out, expected) for out in outs)
 
@@ -593,7 +605,7 @@ class TestWorkSharingMap:
             meet.wait()
             return threading.get_ident()
 
-        ran_on = ta._map(where, range(3))
+        ran_on = ta._blockwise(where, [[k] for k in range(3)])
         assert len(set(ran_on)) == 3 and threading.get_ident() in ran_on
 
     def test_nested_map_runs_on_its_task_thread(self, fresh_pool, blas_threads):
@@ -601,10 +613,10 @@ class TestWorkSharingMap:
 
         def outer(_):
             here = threading.get_ident()
-            inner = ta._map(lambda k: (k, threading.get_ident()), range(4))
+            inner = ta._blockwise(lambda k: (k, threading.get_ident()), [[k] for k in range(4)])
             return here, inner
 
-        outs = ta._map(outer, range(2))
+        outs = ta._blockwise(outer, [[k] for k in range(2)])
         assert len({here for here, _ in outs}) == 2
         for here, inner in outs:
             assert inner == [(k, here) for k in range(4)]
@@ -623,7 +635,7 @@ class TestWorkSharingMap:
             finished.append(k)
 
         with pytest.raises(ValueError, match="call 1 failed"):
-            ta._map(call, range(2))
+            ta._blockwise(call, [[k] for k in range(2)])
         assert finished == [0]
         assert blas_threads() == before and ta._pin_depth == 0
 
@@ -638,7 +650,7 @@ class TestWorkSharingMap:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            outs = [ta._map(call, range(500)) for _ in range(4)]
+            outs = [ta._blockwise(call, [[k] for k in range(500)]) for _ in range(4)]
         finally:
             sys.setswitchinterval(interval)
         assert outs == [[3 * k for k in range(500)]] * 4

@@ -1,5 +1,7 @@
+import collections
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -619,14 +621,16 @@ class UnpicklableError(Exception):
 @needs_fork
 class TestForkMap:
     """``t_algebra._fork_map`` shares whole calls between the calling process and children
-    forked for the map, and behaves like ``_map`` on success and on failure."""
+    forked for the map; where it does not fork, it runs them one after another on the calling
+    thread."""
 
     @pytest.fixture(autouse=True)
     def one_child(self, monkeypatch):
         monkeypatch.setattr(ta, "_WORKERS", 1)
+        self.ran_on = []  # the thread of each call made in this process
 
-    @staticmethod
-    def slow_square(x, y=0):
+    def slow_square(self, x, y=0):
+        self.ran_on.append(threading.get_ident())
         time.sleep(0.05)
         return x * x + y, os.getpid()
 
@@ -667,12 +671,17 @@ class TestForkMap:
             monkeypatch.setattr(ta, "_WORKERS", 0)
         elif where == "no_fork":
             monkeypatch.delattr(os, "fork")
-        if where == "in_task":  # each call of a two-call _map runs in a task
-            outs = sum(ta._map(lambda _: ta._fork_map(self.slow_square, range(3)), range(2)), [])
+        if where == "in_task":  # each piece of a two-piece _blockwise runs in a task
+            pieces = ta._blockwise(lambda _: ta._fork_map(self.slow_square, range(3)), [[0], [1]])
+            outs = sum(pieces, [])
         else:
             outs = ta._fork_map(self.slow_square, range(3))
         assert [v for v, _ in outs] == [0, 1, 4] * (2 if where == "in_task" else 1)
         assert {pid for _, pid in outs} == {os.getpid()}
+        # every _fork_map ran its three calls on its own thread: the test's, or its piece's
+        calls_per_thread = collections.Counter(self.ran_on)
+        assert calls_per_thread[threading.get_ident()] == 3
+        assert sorted(calls_per_thread.values()) == [3] * (2 if where == "in_task" else 1)
 
     def test_nested_pieces_in_a_child_are_one(self):
         stack, shape = np.empty((60, 100, 100)), (100, 100, 100)
