@@ -103,21 +103,21 @@ def _outputs(*outputs):
 
 
 def cmd_tsvd(args) -> int:
-    A = _load_tensor(args.input)
-    mr, tnn, spectral_norm, U, Vh = t_algebra._sweep(A, args.tol, factors=True)
+    """The dims come from the factors and the multi rank: ``_sweep`` frees the tensor early."""
+    mr, tnn, norm, U, Vh = t_algebra._sweep(_load_tensor(args.input), args.tol, factors=True)
     rank = int(mr.max())
     report = {
-        "dims": list(A.shape),
+        "dims": [U.shape[1], Vh.shape[2], len(mr)],
         "multi_rank": [int(r) for r in mr],
         "tubal_rank": rank,
         "tnn": tnn,
-        "spectral_norm": spectral_norm,
-        "incoherence": dataclasses.asdict(_incoherence(U, Vh, A.shape[2])) if rank else None,
+        "spectral_norm": norm,
+        "incoherence": dataclasses.asdict(_incoherence(U, Vh, len(mr))) if rank else None,
     }
     if args.json:
         print(json.dumps(report, indent=2))
     else:
-        print("dims: {} x {} x {}".format(*A.shape))
+        print("dims: {} x {} x {}".format(*report["dims"]))
         print(f"multi rank: {' '.join(str(r) for r in report['multi_rank'])}")
         print(f"tubal rank: {report['tubal_rank']}")
         print(f"tnn: {report['tnn']:.12g}")

@@ -109,9 +109,9 @@ def solve(X: np.ndarray, config: SolverConfig | None = None, callback=None) -> T
         config = SolverConfig()
     lam = config.lam if config.lam is not None else default_lambda(X.shape)
 
-    L = np.zeros_like(X)
-    E = np.zeros_like(X)
-    Y = np.zeros_like(X)
+    L = np.zeros(X.shape)
+    E = np.zeros(X.shape)
+    Y = np.zeros(X.shape)
     # the argument of step 1, X - E - Y/mu: with E = Y = 0 that is X, bit for bit
     P = X.copy()
     slabs = t_algebra._slabs(X.shape)
@@ -121,7 +121,7 @@ def solve(X: np.ndarray, config: SolverConfig | None = None, callback=None) -> T
     k = 0
     for k in range(1, config.max_iter + 1):
         L_new = tsvt(P, 1.0 / mu)
-        E_new = E if callback is None else np.empty_like(X)
+        E_new = E if callback is None else np.empty(X.shape)
         mu_next = min(config.rho * mu, config.mu_max)
         parts = t_algebra._blockwise(
             lambda b: _update(b, X, L, E, Y, L_new, E_new, P, mu, lam / mu, mu_next), slabs
@@ -194,12 +194,12 @@ def _incoherence(U: np.ndarray, Vh: np.ndarray, n3: int) -> IncoherenceReport:
     n1, r, n2 = U.shape[1], U.shape[2], Vh.shape[2]
     if r < 1:
         raise ValueError("incoherence is undefined at tubal rank 0")
-    # ||U^T * e_i||_F = ||U[i, :, :]||_F: the t-product with a column basis
-    # tensor picks out horizontal slice i (Parseval along each tube)
-    Ut = t_algebra._from_half_spectrum(U, n3)
-    Vt = t_algebra._from_half_spectrum(Vh.conj().swapaxes(1, 2), n3)
-    max_u_sq = float((Ut**2).sum(axis=(1, 2)).max())
-    max_v_sq = float((Vt**2).sum(axis=(1, 2)).max())
+    # ||U^T * e_i||_F = ||U[i, :, :]||_F: the t-product with a column basis tensor picks out
+    # horizontal slice i (Parseval along each tube); each real factor is reduced at once
+    max_u_sq = float((t_algebra._from_half_spectrum(U, n3) ** 2).sum(axis=(1, 2)).max())
+    max_v_sq = float(
+        (t_algebra._from_half_spectrum(Vh.conj().swapaxes(1, 2), n3) ** 2).sum(axis=(1, 2)).max()
+    )
     # U * V^T is the slicewise product U_k V_k^H of the spectral factors
     with t_algebra._one_blas_thread():
         uv_inf = norm_inf(t_algebra._from_half_spectrum(U @ Vh, n3))

@@ -190,14 +190,19 @@ def _rel_err(est: np.ndarray, ref: np.ndarray) -> float:
 
 
 def run_trial(spec: TrialSpec, config: SolverConfig | None = None) -> TrialOutcome:
-    """Generate one instance, solve it and score the recovery."""
-    L0, E0 = make_instance(spec)
-    X = L0 + E0
+    """Generate one instance, solve it and score the recovery.
+
+    X is the sum of one ``make_instance`` call, whose parts are freed before the solve; the
+    instance is made a second time for scoring, once X is freed."""
+    X = np.add(*make_instance(spec))
     start = time.perf_counter()
     result: TrpcaResult = solve(X, config)
     wall = time.perf_counter() - start
-    e_max = float(np.abs(result.E).max())
-    nnz_hat = int(np.count_nonzero(np.abs(result.E) > NNZ_REL_TOL * e_max)) if e_max else 0
+    del X
+    abs_e = np.abs(result.E)
+    e_max = float(abs_e.max())
+    nnz_hat = int(np.count_nonzero(abs_e > NNZ_REL_TOL * e_max)) if e_max else 0
+    L0, E0 = make_instance(spec)
     rel_l = _rel_err(result.L, L0)
     return TrialOutcome(
         rank_hat=tubal_rank(result.L),

@@ -580,19 +580,23 @@ def _sweep(A: np.ndarray, tol: float = DEFAULT_RANK_TOL, factors: bool = False):
     """One SVD of the half spectrum of A, as (multi rank, tnn, spectral norm, U, Vh).
 
     Ranks count singular values above ``tol`` times the global largest one.  U and Vh are None, or
-    with ``factors`` the spectral factors copied to the tubal rank to free the full stacks.
+    with ``factors`` the spectral factors, copied one at a time down to the tubal rank only where
+    it is narrower.  A is freed once its half spectrum exists, if the caller holds no reference.
     """
     if not tol >= 0:  # NaN too
         raise ValueError(f"rank tolerance must be nonnegative, got {tol}")
     A = as_tensor(A)
-    U, s, Vh = _svd(_half_spectrum(A), compute_uv=factors)
+    n3, stack = A.shape[2], _half_spectrum(A)
+    del A
+    U, s, Vh = _svd(stack, compute_uv=factors)
     # slice k shares its singular values with its conjugate partner n3-k
-    k = np.arange(A.shape[2])
-    sv = s[np.minimum(k, -k % A.shape[2])]
+    k = np.arange(n3)
+    sv = s[np.minimum(k, -k % n3)]
     ranks = (sv > tol * sv.max(initial=0.0)).sum(axis=1).astype(int)
-    if factors:
-        U, Vh = U[:, :, : ranks.max()].copy(), Vh[:, : ranks.max(), :].copy()
-    return ranks, float(sv.sum() / A.shape[2]), float(sv.max()), U, Vh
+    if factors and ranks.max() < U.shape[2]:
+        U = U[:, :, : ranks.max()].copy()
+        Vh = Vh[:, : ranks.max(), :].copy()
+    return ranks, float(sv.sum() / n3), float(sv.max()), U, Vh
 
 
 def multi_rank(A: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

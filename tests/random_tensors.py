@@ -2,6 +2,8 @@
 importable from every test module (unlike ``conftest``, whose name
 ``perfbench/tests`` also uses)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,18 @@ def save_netpbm(path, stack):
     """Write ``stack`` to the Netpbm file ``path``."""
     with open(path, "wb") as f:
         imaging.write_netpbm(f, stack)
+
+
+def traced_peak(fn):
+    """Peak bytes that tracemalloc traces during a call of ``fn()``.  A first call runs untraced,
+    so that lazy set-up, such as starting the pool's threads, falls outside the trace."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def complex_half_spectrum(A):

@@ -14,7 +14,7 @@ from trpca.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_NUMERICAL, EXIT_OK, 
 from trpca.solver import incoherence_report
 from trpca.synth import TrialSpec, gen_low_rank, gen_sparse_uniform, make_instance
 
-from random_tensors import identity_tensor, save_netpbm
+from random_tensors import identity_tensor, save_netpbm, traced_peak
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -52,6 +52,18 @@ class TestTsvdCommand:
         assert report["multi_rank"] == [rank] and report["tubal_rank"] == rank
         assert report["tnn"] == pytest.approx(s.sum(), rel=1e-12)
         assert report["spectral_norm"] == pytest.approx(s[0], rel=1e-12)
+
+    def test_traced_peak(self, tmp_path, rng, monkeypatch, capsys):
+        """The input is freed once its half spectrum exists, full-rank factors are not copied and
+        each real factor tensor is reduced to its row norms at once.  Measured 4.34 sizes of a
+        full-rank 60^3 tensor; 7.13 while the command held all three."""
+        A = rng.normal(size=(60, 60, 60))
+        path = tmp_path / "full.tns3"
+        tensor_core.save_tensor(path, A)
+        monkeypatch.setattr(t_algebra, "_WORKERS", 1)
+        peak = traced_peak(lambda: main(["tsvd", str(path), "--json"]))
+        assert '"tubal_rank": 60' in capsys.readouterr().out
+        assert peak <= 5 * A.nbytes
 
     def test_zero_tensor(self, tmp_path, capsys):
         path = tmp_path / "z.tns3"

@@ -1,7 +1,6 @@
 import sys
 import threading
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from trpca import t_algebra as ta
 from trpca import tensor_core as tc
 from trpca.prox import soft_threshold, tsvt
 
-from random_tensors import on_complex_route, random_tensor
+from random_tensors import on_complex_route, random_tensor, traced_peak
 
 
 def tnn_objective(L, Y, tau):
@@ -557,13 +556,7 @@ class TestTracedMemory:
         )
         assert ta._above_floor(ta._half_spectrum(Y))
         monkeypatch.setattr(ta, "_WORKERS", 1)
-        tsvt(Y, 1.0)  # the pool's threads start outside the trace
-        tracemalloc.start()
-        try:
-            tsvt(Y, 1.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: tsvt(Y, 1.0))
         assert peak <= bound * Y.nbytes
 
 

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,19 @@ class TestSolve:
         assert res.converged
         assert tc.norm_fro(res.L - L0) / tc.norm_fro(L0) < 1e-4
         assert ta.tubal_rank(res.L) == 3
+
+    def test_slice_major_input(self, rng):
+        """A tensor read from a file is a slice-major view of its payload; the solver's state
+        arrays are C-ordered all the same, and the result has the same bytes."""
+        X = random_tensor(rng, 40, 36, 40)
+        f = io.BytesIO()
+        tc.write_tensor(f, X)
+        f.seek(0)
+        view = tc.read_tensor(f)
+        assert np.array_equal(view, X) and not view.flags.c_contiguous
+        a, b = solve(view, SolverConfig(max_iter=8)), solve(X, SolverConfig(max_iter=8))
+        assert a.E.flags.c_contiguous and a.L.flags.c_contiguous
+        assert a.E.tobytes() == b.E.tobytes() and a.L.tobytes() == b.L.tobytes()
 
     def test_matrix_rpca_trajectory_matches(self, rng):
         # n3 = 1 reduction against the standalone matrix implementation
