@@ -38,7 +38,6 @@ from .tensor_core import (
     norm_fro,
     norm_inf,
     norm_l1,
-    save_tensor,
 )
 
 __version__ = "0.1.0"

@@ -10,6 +10,7 @@ the working range with peak 1.0 (equivalent to peak 255 on byte data).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,42 +81,29 @@ class DenoiseReport:
 # ---------------------------------------------------------------------------
 
 
-def _read_netpbm_tokens(data: bytes, count: int):
-    """Yield `count` whitespace/comment-delimited header tokens and the
-    offset just past them."""
-    tokens = []
-    pos = 0
-    while len(tokens) < count:
-        if pos >= len(data):
-            raise ValueError("truncated Netpbm header")
-        c = data[pos : pos + 1]
-        if c.isspace():
-            pos += 1
-        elif c == b"#":
-            pos = data.index(b"\n", pos) + 1
-        else:
-            end = pos
-            while end < len(data) and not data[end : end + 1].isspace():
-                end += 1
-            tokens.append(data[pos:end])
-            pos = end
-    return tokens, pos + 1  # single whitespace after maxval
+_NETPBM_HEADER = re.compile(rb"P([56])" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
 
 def read_netpbm(path) -> ImageStack:
-    """Read a binary PGM (P5) or PPM (P6) with maxval 255."""
+    """Read a binary PGM (P5) or PPM (P6) with maxval 255.
+
+    The header is the magic, then width, height and maxval as decimal numbers, each after
+    whitespace or ``#`` comments that run to the end of their line, then one whitespace byte.
+    Any other header, a zero width or height and a short raster are rejected."""
     with open(path, "rb") as f:
         data = f.read()
-    if data[:2] not in (b"P5", b"P6"):
-        raise ValueError(f"{path}: not a binary PGM/PPM file")
-    color = data[:2] == b"P6"
-    (_, w, h, maxval), offset = _read_netpbm_tokens(data, 4)
-    width, height, maxval = int(w), int(h), int(maxval)
+    header = _NETPBM_HEADER.match(data)
+    if header is None:
+        raise ValueError(f"{path}: not a binary PGM/PPM file with a valid header")
+    color = header[1] == b"6"
+    width, height, maxval = map(int, header.groups()[1:])
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}, expected 255")
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: image extents {width}x{height} must be >= 1")
     channels = 3 if color else 1
     expected = width * height * channels
-    raster = data[offset : offset + expected]
+    raster = data[header.end() : header.end() + expected]
     if len(raster) != expected:
         raise ValueError(f"{path}: raster has {len(raster)} bytes, expected {expected}")
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, channels)
@@ -203,9 +191,8 @@ def denoise(
     Returns (DenoiseReport, L, E, mask) with L clamped to [0, 1].  With
     ``baseline=True`` each frontal slice is also solved on its own as an n3=1
     problem with the matrix weight 1/sqrt(max(n1, n2)), and the clamped slices
-    are scored together; these channel solves run beside the tensor solve in forked
-    processes where ``os.fork`` and the OpenBLAS pin exist, and after it on the calling
-    thread elsewhere (``t_algebra._fork_map``).
+    are scored together; these channel solves run beside the tensor solve through
+    ``t_algebra._fork_map``.
     """
     clean = stack_to_tensor(stack)
     corrupted, mask = corrupt_pixels(clean, fraction, seed)

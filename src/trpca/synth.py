@@ -6,8 +6,7 @@ seed reproduces the same tensors on any platform.  Phase-grid cells derive
 their per-trial seeds from (base_seed, cell row, cell column, trial index)
 through ``numpy``'s SeedSequence spawning, keeping trials independent and
 order-insensitive, so the grid runs them side by side through
-``t_algebra._fork_map``: in forked processes where ``os.fork`` and the
-OpenBLAS pin exist, one after another on the calling thread elsewhere.
+``t_algebra._fork_map``.
 """
 
 from __future__ import annotations
@@ -66,8 +65,8 @@ class TrialSpec:
 
     ``sparsity_model`` is ``"uniform_m"`` (exactly m corrupted entries at a
     uniformly random support) or ``"bernoulli"`` (each entry corrupted
-    independently with probability rho_s); ``sparsity_param`` is m or rho_s
-    accordingly.
+    independently with probability rho_s); ``sparsity_param`` is m, a whole
+    number, or rho_s accordingly.
     """
 
     dims: TensorDims
@@ -82,8 +81,9 @@ class TrialSpec:
         if not 0 <= self.r <= d.n_min:
             raise ValueError(f"rank {self.r} out of range [0, {d.n_min}]")
         if self.sparsity_model == "uniform_m":
-            if not 0 <= self.sparsity_param <= d.total:
-                raise ValueError("m out of range")
+            m = self.sparsity_param
+            if not (0 <= m <= d.total and float(m).is_integer()):
+                raise ValueError(f"m={m} is not a whole number in [0, {d.total}]")
         elif self.sparsity_model == "bernoulli":
             if not 0.0 <= self.sparsity_param <= 1.0:
                 raise ValueError("rho_s out of range")
@@ -136,9 +136,9 @@ def gen_low_rank(dims, r: int, seed) -> np.ndarray:
 def gen_sparse_uniform(dims, m: int, seed) -> np.ndarray:
     """Tensor with exactly m nonzeros, +-1 equiprobable, uniform support."""
     d = TensorDims(*dims).validate()
+    if not (0 <= m <= d.total and float(m).is_integer()):
+        raise ValueError(f"m={m} is not a whole number in [0, {d.total}]")
     m = int(m)
-    if not 0 <= m <= d.total:
-        raise ValueError(f"m={m} out of range [0, {d.total}]")
     rng = np.random.default_rng(seed)
     flat = np.zeros(d.total)
     support = rng.choice(d.total, size=m, replace=False)

@@ -72,8 +72,8 @@ class TSvd:
     """Factor triple A = U * S * V^T with f-diagonal S.
 
     ``U`` is n1 x rho x n3, ``S`` is rho x rho x n3, ``V`` is n2 x rho x n3
-    where rho = min(n1, n2) for the full factorization or the requested
-    rank for the skinny one, which differs from the full one only in rho.
+    where rho = min(n1, n2).  Slicing the first r of the rho columns, and of
+    S's rows, gives the skinny factorization of rank r.
     """
 
     U: np.ndarray
@@ -555,24 +555,19 @@ def ttranspose(A: np.ndarray) -> np.ndarray:
     return out
 
 
-def tsvd(A: np.ndarray, rank: int | None = None) -> TSvd:
-    """t-SVD of A: orthogonal U, V and f-diagonal S with A = U * S * V^T.
+def tsvd(A: np.ndarray) -> TSvd:
+    """t-SVD of A: orthogonal U, V and f-diagonal S with A = U * S * V^T, rho = min(n1, n2).
 
-    With ``rank`` given, returns the skinny factorization truncated to that
-    many columns; otherwise rho = min(n1, n2).
+    The skinny t-SVD of rank r is ``U[:, :r]``, ``S[:r, :r]`` and ``V[:, :r]``: the inverse
+    transform treats each tube on its own, so truncating before or after it gives the same bits.
     """
     A = as_tensor(A)
-    n1, n2, n3 = A.shape
-    rho = min(n1, n2)
-    if rank is not None:
-        if not 1 <= rank <= rho:
-            raise ValueError(f"rank {rank} out of range [1, {rho}]")
-        rho = rank
+    n3, rho = A.shape[2], min(A.shape[:2])
     U, s, Vh = _svd(_half_spectrum(A))
     return TSvd(
-        U=_from_half_spectrum(U[:, :, :rho], n3),
-        S=_from_half_spectrum(s[:, :rho, None] * np.eye(rho), n3),
-        V=_from_half_spectrum(Vh[:, :rho, :].conj().swapaxes(1, 2), n3),
+        U=_from_half_spectrum(U, n3),
+        S=_from_half_spectrum(s[:, :, None] * np.eye(rho), n3),
+        V=_from_half_spectrum(Vh.conj().swapaxes(1, 2), n3),
     )
 
 

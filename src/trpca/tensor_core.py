@@ -25,7 +25,6 @@ __all__ = [
     "norm_fro",
     "write_tensor",
     "read_tensor",
-    "save_tensor",
     "load_tensor",
 ]
 
@@ -105,8 +104,8 @@ def write_tensor(f: BinaryIO, A: np.ndarray) -> None:
     n1, n2, n3 = A.shape
     f.write(_MAGIC)
     f.write(struct.pack("<QQQ", n1, n2, n3))
-    # slice-major order: k slowest, j fastest
-    f.write(np.ascontiguousarray(np.moveaxis(A, 2, 0)).astype("<f8").tobytes())
+    # slice-major order: k slowest, j fastest; written through the buffer of the one copy
+    f.write(np.ascontiguousarray(np.moveaxis(A, 2, 0), dtype="<f8"))
 
 
 def read_tensor(f: BinaryIO) -> np.ndarray:
@@ -133,11 +132,6 @@ def read_tensor(f: BinaryIO) -> np.ndarray:
         raise ValueError(f"payload size mismatch: expected {expected} bytes, got {len(payload)}")
     flat = np.frombuffer(payload, dtype="<f8")
     return as_tensor(np.moveaxis(flat.reshape(n3, n1, n2), 0, 2))
-
-
-def save_tensor(path, A: np.ndarray) -> None:
-    with open(path, "wb") as f:
-        write_tensor(f, A)
 
 
 def load_tensor(path) -> np.ndarray:

@@ -9,6 +9,7 @@ import pytest
 
 from trpca import imaging, prox
 from trpca import t_algebra as ta
+from trpca import tensor_core as tc
 
 
 def random_tensor(rng, n1, n2, n3, scale=1.0):
@@ -38,6 +39,12 @@ def basis_column(i, n, n3):
     e = np.zeros((n, 1, n3))
     e[i, 0, 0] = 1.0
     return e
+
+
+def save_tensor(path, A):
+    """Write ``A`` to the ``.tns3`` file ``path``."""
+    with open(path, "wb") as f:
+        tc.write_tensor(f, A)
 
 
 def save_netpbm(path, stack):

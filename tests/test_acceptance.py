@@ -13,7 +13,7 @@ from trpca.prox import soft_threshold, tsvt
 from trpca.solver import SolverConfig, default_lambda, solve
 from trpca.synth import TrialSpec, gen_low_rank, phase_grid, run_trial
 
-from random_tensors import save_netpbm
+from random_tensors import save_netpbm, save_tensor
 from test_prox import scalar_prox_oracle, tnn_objective
 from test_solver import matrix_rpca_reference
 
@@ -297,7 +297,7 @@ class TestCriterion8Determinism:
         # solve (tensor outputs)
         X = gen_low_rank((12, 12, 4), 2, 1)
         xp = tmp_path / "x.tns3"
-        tc.save_tensor(xp, X)
+        save_tensor(xp, X)
         outs = []
         for tag in ("a", "b"):
             lp, ep = tmp_path / f"L{tag}.tns3", tmp_path / f"E{tag}.tns3"

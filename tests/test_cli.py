@@ -14,7 +14,7 @@ from trpca.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_NUMERICAL, EXIT_OK, 
 from trpca.solver import incoherence_report
 from trpca.synth import TrialSpec, gen_low_rank, gen_sparse_uniform, make_instance
 
-from random_tensors import identity_tensor, save_netpbm, traced_peak
+from random_tensors import identity_tensor, save_netpbm, save_tensor, traced_peak
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -22,7 +22,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 @pytest.fixture
 def identity_file(tmp_path):
     path = tmp_path / "identity.tns3"
-    tensor_core.save_tensor(path, identity_tensor(4, 3))
+    save_tensor(path, identity_tensor(4, 3))
     return path
 
 
@@ -43,7 +43,7 @@ class TestTsvdCommand:
     def test_n3_one_matches_matrix_svd(self, tmp_path, capsys):
         A = gen_low_rank((9, 6, 1), 3, 8)
         path = tmp_path / "m.tns3"
-        tensor_core.save_tensor(path, A)
+        save_tensor(path, A)
         assert main(["tsvd", str(path), "--json"]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         s = np.linalg.svd(A[:, :, 0], compute_uv=False)
@@ -59,7 +59,7 @@ class TestTsvdCommand:
         full-rank 60^3 tensor; 7.13 while the command held all three."""
         A = rng.normal(size=(60, 60, 60))
         path = tmp_path / "full.tns3"
-        tensor_core.save_tensor(path, A)
+        save_tensor(path, A)
         monkeypatch.setattr(t_algebra, "_WORKERS", 1)
         peak = traced_peak(lambda: main(["tsvd", str(path), "--json"]))
         assert '"tubal_rank": 60' in capsys.readouterr().out
@@ -67,7 +67,7 @@ class TestTsvdCommand:
 
     def test_zero_tensor(self, tmp_path, capsys):
         path = tmp_path / "z.tns3"
-        tensor_core.save_tensor(path, np.zeros((3, 3, 2)))
+        save_tensor(path, np.zeros((3, 3, 2)))
         assert main(["tsvd", str(path)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "tubal rank: 0" in out
@@ -115,7 +115,7 @@ class TestTsvdCommand:
     def test_one_factorization_per_inspection(self, tmp_path, monkeypatch, capsys):
         L = gen_low_rank((9, 7, 6), 3, 0)
         path = tmp_path / "L.tns3"
-        tensor_core.save_tensor(path, L)
+        save_tensor(path, L)
         svd, fft, rfft = np.linalg.svd, np.fft.fft, np.fft.rfft
         calls = []
 
@@ -161,7 +161,7 @@ class TestTsvdReportAgreement:
         make, tol = self.CASES[case]
         A = make()
         path = tmp_path / "A.tns3"
-        tensor_core.save_tensor(path, A)
+        save_tensor(path, A)
         assert main(["tsvd", str(path), "--json", "--tol", repr(tol)]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["multi_rank"] == t_algebra.multi_rank(A, tol).tolist()
@@ -186,7 +186,7 @@ class TestSolveCommand:
         dims = (25, 25, 6)
         X = gen_low_rank(dims, 2, 0) + gen_sparse_uniform(dims, 300, 1)
         x_path = tmp_path / "x.tns3"
-        tensor_core.save_tensor(x_path, X)
+        save_tensor(x_path, X)
         l_path, e_path = tmp_path / "L.tns3", tmp_path / "E.tns3"
         code = main(
             ["solve", str(x_path), "--out-L", str(l_path), "--out-E", str(e_path)]
@@ -201,7 +201,7 @@ class TestSolveCommand:
 
     def test_default_lambda_echoed(self, tmp_path, capsys):
         x_path = tmp_path / "x.tns3"
-        tensor_core.save_tensor(x_path, np.zeros((10, 10, 4)))
+        save_tensor(x_path, np.zeros((10, 10, 4)))
         main(["solve", str(x_path), "--out-L", str(tmp_path / "L"), "--out-E", str(tmp_path / "E")])
         expected = 1.0 / np.sqrt(10 * 4)
         assert f"lambda: {expected:.12g}" in capsys.readouterr().out
@@ -209,7 +209,7 @@ class TestSolveCommand:
     def test_non_convergence_exit_3(self, tmp_path):
         rng = np.random.default_rng(5)
         x_path = tmp_path / "x.tns3"
-        tensor_core.save_tensor(x_path, rng.normal(size=(10, 10, 3)))
+        save_tensor(x_path, rng.normal(size=(10, 10, 3)))
         cfg = tmp_path / "cfg"
         cfg.write_text("max_iter = 2\n")
         code = main(
@@ -228,7 +228,7 @@ class TestSolveCommand:
 
     def test_cli_lambda_overrides_config(self, tmp_path, capsys):
         x_path = tmp_path / "x.tns3"
-        tensor_core.save_tensor(x_path, np.zeros((8, 8, 2)))
+        save_tensor(x_path, np.zeros((8, 8, 2)))
         cfg = tmp_path / "cfg"
         cfg.write_text("lambda = 0.5\n")
         main(
@@ -249,7 +249,7 @@ class TestSolveCommand:
 
     def test_non_finite_config_value_exit_2(self, tmp_path, capsys):
         x_path = tmp_path / "x.tns3"
-        tensor_core.save_tensor(x_path, np.random.default_rng(8).normal(size=(6, 5, 4)))
+        save_tensor(x_path, np.random.default_rng(8).normal(size=(6, 5, 4)))
         cfg = tmp_path / "cfg"
         cfg.write_text("eps = nan\n")
         outs = ["--out-L", str(tmp_path / "L"), "--out-E", str(tmp_path / "E")]
@@ -269,7 +269,7 @@ class TestSolveCommand:
         )
         L0, E0 = make_instance(spec)
         x_path = tmp_path / "x.tns3"
-        tensor_core.save_tensor(x_path, L0 + E0)
+        save_tensor(x_path, L0 + E0)
         outputs = []
         for threads in ("1", "2"):
             l_path, e_path = tmp_path / f"L{threads}.tns3", tmp_path / f"E{threads}.tns3"
@@ -385,7 +385,7 @@ def test_os_error_exit_2(tmp_path, capsys, args):
     (tmp_path / "frames" / "a.pgm").mkdir(parents=True)
     image = imaging.ImageStack(np.full((6, 5, 3), 90, np.uint8), True)
     save_netpbm(tmp_path / "img.ppm", image)
-    tensor_core.save_tensor(tmp_path / "x.tns3", np.zeros((6, 6, 2)))
+    save_tensor(tmp_path / "x.tns3", np.zeros((6, 6, 2)))
     assert main([a.format(tmp=tmp_path) for a in args]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:") and "Traceback" not in err
@@ -403,7 +403,7 @@ class TestOutputsOpenedFirst:
         monkeypatch.setattr(module, "solve", failing)
 
     def test_bad_out_E_leaves_no_L_file(self, tmp_path, capsys):
-        tensor_core.save_tensor(tmp_path / "x.tns3", np.zeros((6, 6, 2)))
+        save_tensor(tmp_path / "x.tns3", np.zeros((6, 6, 2)))
         l_path = tmp_path / "L.tns3"
         args = ["solve", str(tmp_path / "x.tns3"), "--out-L", str(l_path),
                 "--out-E", str(tmp_path / "missing" / "E.tns3")]
@@ -413,7 +413,7 @@ class TestOutputsOpenedFirst:
         assert not l_path.exists()
 
     def test_failed_solve_leaves_no_output(self, tmp_path, monkeypatch, capsys):
-        tensor_core.save_tensor(tmp_path / "x.tns3", np.zeros((6, 6, 2)))
+        save_tensor(tmp_path / "x.tns3", np.zeros((6, 6, 2)))
         self.fail_solve(monkeypatch)
         outs = [tmp_path / "L.tns3", tmp_path / "E.tns3"]
         args = ["solve", str(tmp_path / "x.tns3"), "--out-L", str(outs[0]), "--out-E", str(outs[1])]
@@ -422,7 +422,7 @@ class TestOutputsOpenedFirst:
 
     def test_failed_solve_leaves_existing_paths_alone(self, tmp_path, monkeypatch, capsys):
         # an output that was there before, a file or a symlink, is neither removed nor cut
-        tensor_core.save_tensor(tmp_path / "x.tns3", np.zeros((6, 6, 2)))
+        save_tensor(tmp_path / "x.tns3", np.zeros((6, 6, 2)))
         target = tmp_path / "target"
         target.write_bytes(b"old L")
         link = tmp_path / "L.tns3"
@@ -436,7 +436,7 @@ class TestOutputsOpenedFirst:
         assert e_path.read_bytes() == b"old E"
 
     def test_clean_up_error_keeps_the_command_error(self, tmp_path, monkeypatch, capsys):
-        tensor_core.save_tensor(tmp_path / "x.tns3", np.zeros((6, 6, 2)))
+        save_tensor(tmp_path / "x.tns3", np.zeros((6, 6, 2)))
         self.fail_solve(monkeypatch)
 
         def refused(path, *args, **kwargs):
@@ -449,7 +449,7 @@ class TestOutputsOpenedFirst:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_success_cuts_a_longer_file_and_writes_to_a_device(self, tmp_path, capsys):
-        tensor_core.save_tensor(tmp_path / "x.tns3", np.zeros((6, 6, 2)))
+        save_tensor(tmp_path / "x.tns3", np.zeros((6, 6, 2)))
         fresh, old = tmp_path / "fresh.tns3", tmp_path / "old.tns3"
         old.write_bytes(b"x" * 10_000)
         for out in (fresh, old):
@@ -511,16 +511,20 @@ class TestOutputsOpenedFirst:
     @pytest.mark.skipif(not hasattr(os, "fork") or not t_algebra._openblas(),
                         reason="needs os.fork and numpy's bundled OpenBLAS")
     def test_failed_channel_solve_in_a_child_exits_4(self, tmp_path, monkeypatch, capsys):
-        # only a channel solve run in a forked child fails; its error crosses back as itself
+        # only a call run in a forked child fails; its error crosses back as itself
         save_netpbm(tmp_path / "img.ppm", imaging.ImageStack(np.full((6, 5, 3), 90, np.uint8), True))
-        out_dir = tmp_path / "out"
+        out_dir, taken = tmp_path / "out", tmp_path / "child-took-a-call"
         parent, solve = os.getpid(), imaging.solve
 
         def failing_in_a_child(X, config):
-            if X.shape[2] == 3:  # the tensor solve: let the child take the channel solves
-                time.sleep(0.3)
-            elif os.getpid() != parent:
+            if os.getpid() != parent:
+                taken.touch()
                 raise np.linalg.LinAlgError("SVD did not converge")
+            if X.shape[2] == 3:  # the tensor solve here: wait until the child has taken a call
+                deadline = time.monotonic() + 30
+                while not taken.exists():
+                    assert time.monotonic() < deadline, "no forked child took a call in 30 s"
+                    time.sleep(0.01)
             return solve(X, config)
 
         monkeypatch.setattr(t_algebra, "_WORKERS", 1)
@@ -534,7 +538,7 @@ class TestOutputsOpenedFirst:
 
     def test_two_outputs_naming_one_file_exit_2(self, tmp_path, capsys):
         # a new path is not left behind, an existing file keeps its bytes, a device may repeat
-        tensor_core.save_tensor(tmp_path / "x.tns3", np.zeros((6, 6, 2)))
+        save_tensor(tmp_path / "x.tns3", np.zeros((6, 6, 2)))
         new, old, link = tmp_path / "new.tns3", tmp_path / "old.tns3", tmp_path / "link.tns3"
         old.write_bytes(b"old")
         link.symlink_to(old)
@@ -648,7 +652,7 @@ class TestNoBusyBlasThread:
         if not blas or blas[0]() < 2:
             pytest.skip("needs numpy's bundled OpenBLAS on more than one thread")
         path = tmp_path / "L.tns3"
-        tensor_core.save_tensor(path, gen_low_rank((100, 100, 20), 3, 0))
+        save_tensor(path, gen_low_rank((100, 100, 20), 3, 0))
         time.sleep(0.3)  # a worker woken before this test goes back to sleep
         rng = np.random.default_rng(0)
         t_algebra.tprod(rng.normal(size=(100, 10, 100)), rng.normal(size=(10, 100, 100)))
@@ -788,3 +792,17 @@ class TestDenoiseCommand:
         bad = tmp_path / "img.png"
         bad.write_bytes(b"\x89PNG\r\n\x1a\n" + b"\0" * 16)
         assert main(["denoise", str(bad)]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("data, names", [
+        (b"P6\n# comment", "header"),  # the comment never ends
+        (b"P5\n-4 4 255\n", "header"),
+        (b"P5\n0 4 255\n", "extents"),
+    ], ids=["unterminated-comment", "negative-width", "zero-width"])
+    def test_malformed_netpbm_header_exit_2(self, tmp_path, capsys, data, names):
+        bad = tmp_path / "img.pgm"
+        bad.write_bytes(data)
+        assert main(["denoise", str(bad), "--out-dir", str(tmp_path / "out")]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert names in captured.err.replace(str(bad), "")  # not in the test's own path

@@ -48,6 +48,50 @@ class TestNetpbm:
         stack = imaging.read_netpbm(path)
         assert np.array_equal(stack.frames[:, :, 0], [[0, 1], [2, 3]])
 
+    @pytest.mark.parametrize("header", [
+        b"P5\n2 2\n255\n",
+        b"P5 2 2 255 ",
+        b"P5#comment\n2 2\n255\n",
+        b"P5\n# a\n2\n# b\n2\n# c\n255\n",
+        b"P5 #a\n\n2 #b\n 2 #c 255\n\t255\n",
+        b"P5\t2\t2\t255\t",
+        b"P5\r\n2 2\r\n# crlf\r\n255\n",
+        b"P5\n002 02\n0255\r",
+    ])
+    def test_reads_well_formed_headers(self, tmp_path, header):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(header + b"\x00\x01\x02\x03")
+        stack = imaging.read_netpbm(path)
+        assert not stack.color and stack.frames.shape == (2, 2, 1)
+        assert np.array_equal(stack.frames[:, :, 0], [[0, 1], [2, 3]])
+
+    def test_reads_comments_in_ppm_header(self, tmp_path):
+        path = tmp_path / "c.ppm"
+        path.write_bytes(b"P6#a\n1 #b\n\t2\r\n#c\n255\n" + bytes(range(6)))
+        stack = imaging.read_netpbm(path)
+        assert stack.color and np.array_equal(stack.frames, np.arange(6).reshape(2, 1, 3))
+
+    @pytest.mark.parametrize("header", [
+        b"P6\n# comment",
+        b"P5\n-4 4 255\n",
+        b"P5\n2 2 255",
+        b"P5x 2 2 255\n",
+        b"P5\n2 2 255#c\n",
+        b"P5\n+2 2 255\n",
+    ])
+    def test_rejects_malformed_headers(self, tmp_path, header):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(header)
+        with pytest.raises(ValueError, match="valid header"):
+            imaging.read_netpbm(path)
+
+    @pytest.mark.parametrize("header", [b"P5\n0 4 255\n", b"P6\n4 0 255\n"])
+    def test_rejects_zero_extents(self, tmp_path, header):
+        path = tmp_path / "z.pgm"
+        path.write_bytes(header)
+        with pytest.raises(ValueError, match=r"extents \dx\d "):
+            imaging.read_netpbm(path)
+
     def test_rejects_wrong_maxval(self, tmp_path):
         path = tmp_path / "m.pgm"
         path.write_bytes(b"P5\n2 2\n65535\n" + b"\x00" * 8)

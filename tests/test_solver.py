@@ -276,8 +276,8 @@ class TestIncoherence:
         L = gen_low_rank((n1, n2, n3), r, 5)
         rep = incoherence_report(L)
         assert rep.r == r
-        f = ta.tsvd(L, rank=r)
-        for Q, n, mu in ((f.U, n1, rep.mu_u), (f.V, n2, rep.mu_v)):
+        f = ta.tsvd(L)
+        for Q, n, mu in ((f.U[:, :r], n1, rep.mu_u), (f.V[:, :r], n2, rep.mu_v)):
             Qt = ta.ttranspose(Q)
             max_sq = max(
                 tc.norm_fro(ta.tprod(Qt, basis_column(i, n, n3))) ** 2 for i in range(n)

@@ -66,6 +66,14 @@ class TestGenSparseUniform:
         with pytest.raises(ValueError):
             gen_sparse_uniform((2, 2, 2), 9, 0)
 
+    def test_m_must_be_whole(self):
+        # an integral float is still m; a fractional one is not truncated
+        dims = (3, 3, 2)
+        assert np.array_equal(gen_sparse_uniform(dims, 5.0, 1), gen_sparse_uniform(dims, 5, 1))
+        for m in (5.9, float("nan")):
+            with pytest.raises(ValueError, match="whole number"):
+                gen_sparse_uniform(dims, m, 1)
+
 
 class TestGenSparseBernoulli:
     def test_zero_rho(self):
@@ -92,6 +100,13 @@ class TestTrialSpec:
     def test_validates_rank(self):
         with pytest.raises(ValueError):
             TrialSpec(tc.TensorDims(4, 4, 2), 5, "uniform_m", 3, 0)
+
+    def test_validates_m(self):
+        for m in (5.9, -1, 6 * 6 * 3 + 1):
+            with pytest.raises(ValueError, match="whole number"):
+                TrialSpec(tc.TensorDims(6, 6, 3), 1, "uniform_m", m, 1)
+        spec = TrialSpec(tc.TensorDims(6, 6, 3), 1, "uniform_m", 5.0, 1)
+        assert np.count_nonzero(make_instance(spec)[1]) == 5
 
     def test_validates_model(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import io
+import os
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from trpca import tensor_core as tc
 from trpca.t_algebra import bcirc, tprod, ttranspose
 
-from random_tensors import basis_column, identity_tensor, random_tensor
+from random_tensors import basis_column, identity_tensor, random_tensor, save_tensor, traced_peak
 
 
 class TestZeros:
@@ -138,7 +139,7 @@ class TestFileFormat:
     def test_round_trip(self, rng, tmp_path):
         A = random_tensor(rng, 3, 4, 5)
         path = tmp_path / "a.tns3"
-        tc.save_tensor(path, A)
+        save_tensor(path, A)
         B = tc.load_tensor(path)
         assert np.array_equal(B, A)
         assert B.flags.writeable
@@ -153,6 +154,13 @@ class TestFileFormat:
         assert np.frombuffer(raw[4:28], dtype="<u8").tolist() == [2, 3, 2]
         payload = np.frombuffer(raw[28:], dtype="<f8")
         assert np.array_equal(payload.reshape(2, 2, 3), np.moveaxis(A, 2, 0))
+
+    def test_write_holds_one_copy(self, rng):
+        # the slice-major copy goes to the stream through its own buffer, with no bytes copy
+        A = random_tensor(rng, 40, 40, 40)
+        with open(os.devnull, "wb") as f:
+            peak = traced_peak(lambda: tc.write_tensor(f, A))
+        assert peak <= 1.2 * A.nbytes
 
     def test_rejects_bad_magic(self):
         with pytest.raises(ValueError, match="magic"):
