@@ -1,13 +1,13 @@
 """Command-line front end.
 
-Subcommands: ``tsvd`` (inspect a tensor file), ``solve`` (decompose a
-tensor), ``table1`` (seeded exact-recovery trials), ``phase`` (rank vs
-sparsity phase grid), ``denoise`` (image recovery).  Exit codes: 0 on
-success, 2 on bad input, a file that cannot be read or written, or two
-outputs that name one file, 3 when the solver hits the iteration cap, 4 on
-a numerical failure (a spectral factorization that LAPACK cannot compute).
-Every randomized command prints its seed, and identical seeds reproduce file
-outputs byte for byte.
+Subcommands: ``tsvd`` (inspect a tensor file), ``solve`` (decompose a tensor), ``table1``
+(seeded exact-recovery trials), ``phase`` (rank vs sparsity phase grid), ``denoise`` (image
+recovery).  Exit codes: 0 on success, 2 on bad input, a file that cannot be read or written, or
+two outputs that name one file, 3 when the solver hits the iteration cap, 4 on a numerical
+failure (a spectral factorization that LAPACK cannot compute).  An error prints one ``error:``
+line: one about a file's content starts with the file's path (``path:line:`` for a config file),
+and a file that cannot be opened gives Python's ``[Errno N] ...: 'path'``.  Every randomized
+command prints its seed, and identical seeds reproduce file outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -33,24 +33,8 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_NUMERICAL = 4
 
 
-class InputError(Exception):
-    """User-facing input problem; maps to exit code 2."""
-
-
-def _load_tensor(path) -> np.ndarray:
-    try:
-        return tensor_core.load_tensor(path)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read tensor {path}: {exc}") from exc
-
-
 def _build_config(args) -> SolverConfig:
-    config = SolverConfig()
-    if args.config:
-        try:
-            config = load_config(args.config)
-        except (OSError, ValueError) as exc:
-            raise InputError(f"cannot read config {args.config}: {exc}") from exc
+    config = load_config(args.config) if args.config else SolverConfig()
     if getattr(args, "lam", None) is not None:
         config = dataclasses.replace(config, lam=args.lam)
     return config
@@ -81,7 +65,7 @@ def _outputs(*outputs):
             if stat.S_ISREG(st.st_mode):
                 key = (st.st_dev, st.st_ino)
                 if key in regular:
-                    raise InputError(f"outputs {regular[key]} and {path} are the same file")
+                    raise ValueError(f"outputs {regular[key]} and {path} are the same file")
                 regular[key] = path
         yield files
         for f, (_, mode) in zip(files, outputs):
@@ -104,7 +88,9 @@ def _outputs(*outputs):
 
 def cmd_tsvd(args) -> int:
     """The dims come from the factors and the multi rank: ``_sweep`` frees the tensor early."""
-    mr, tnn, norm, U, Vh = t_algebra._sweep(_load_tensor(args.input), args.tol, factors=True)
+    mr, tnn, norm, U, Vh = t_algebra._sweep(
+        tensor_core.load_tensor(args.input), args.tol, factors=True
+    )
     rank = int(mr.max())
     report = {
         "dims": [U.shape[1], Vh.shape[2], len(mr)],
@@ -134,7 +120,7 @@ def cmd_tsvd(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    X = _load_tensor(args.input)
+    X = tensor_core.load_tensor(args.input)
     config = _build_config(args)
     with _outputs((args.out_L, "wb"), (args.out_E, "wb")) as (f_L, f_E):
         result = solve(X, config)
@@ -154,7 +140,7 @@ def cmd_solve(args) -> int:
 # has before the command runs, so a bad value exits 2 before anything is printed
 _FLAG_RANGES = {
     **dict.fromkeys(["n", "n3", "seeds", "trials"], (1, math.inf)),
-    "seed": (0, math.inf),
+    **dict.fromkeys(["seed", "tol"], (0, math.inf)),
     **dict.fromkeys(["r_frac", "m_frac", "lo", "hi", "fraction"], (0, 1)),
 }
 
@@ -164,7 +150,7 @@ def _check_flags(args) -> None:
         value = getattr(args, dest, None)
         if value is not None and not lo <= value <= hi:  # NaN fails too
             allowed = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
-            raise InputError(f"--{dest.replace('_', '-')} must be {allowed}, got {value}")
+            raise ValueError(f"--{dest.replace('_', '-')} must be {allowed}, got {value}")
 
 
 def cmd_table1(args) -> int:
@@ -206,9 +192,9 @@ def _parse_grid(text: str):
     try:
         nr, nrho = map(int, text.lower().split("x"))
     except ValueError as exc:
-        raise InputError(f"bad --grid {text!r}, expected like 10x10") from exc
+        raise ValueError(f"bad --grid {text!r}, expected like 10x10") from exc
     if min(nr, nrho) < 1:
-        raise InputError(f"bad --grid {text!r}, both axes must be >= 1")
+        raise ValueError(f"bad --grid {text!r}, both axes must be >= 1")
     return nr, nrho
 
 
@@ -246,20 +232,17 @@ def _load_image_input(path: Path) -> imaging.ImageStack:
         frames = []
         files = sorted(p for p in path.iterdir() if p.suffix.lower() == ".pgm")
         if not files:
-            raise InputError(f"{path}: no PGM frames found")
+            raise ValueError(f"{path}: no PGM frames found")
         for p in files:
             stack = imaging.read_netpbm(p)
             if stack.color:
-                raise InputError(f"{p}: expected grayscale PGM frames")
+                raise ValueError(f"{p}: expected grayscale PGM frames")
             frames.append(stack.frames[:, :, 0])
         try:
             return imaging.ImageStack(frames=np.stack(frames, axis=2), color=False)
         except ValueError as exc:
-            raise InputError(f"{path}: {exc}") from exc
-    try:
-        return imaging.read_netpbm(path)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read image {path}: {exc}") from exc
+            raise ValueError(f"{path}: {exc}") from exc
+    return imaging.read_netpbm(path)
 
 
 def cmd_denoise(args) -> int:
@@ -371,7 +354,7 @@ def main(argv=None) -> int:
         # a subclass of ValueError, so it must be caught first
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (InputError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -222,22 +222,29 @@ _CONFIG_FIELDS = {
 
 
 def load_config(path) -> SolverConfig:
-    """Read solver parameters from a flat key=value text file.
+    """Read solver parameters from a flat key=value UTF-8 text file.
 
     Blank lines and '#' comments are ignored; unknown keys are an error.
     Keys the file does not mention keep their :class:`SolverConfig` defaults.
+    A line that does not decode, parse or give a valid config raises ``ValueError``
+    starting with ``path:lineno:``.
     """
     config = SolverConfig()
-    with open(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
+    with open(path, "rb") as f:
+        lines = f.read().splitlines()  # at \n, \r\n or \r, as text mode splits
+    for lineno, raw in enumerate(lines, 1):
+        try:
+            text = raw.decode()
+            line = text.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+                raise ValueError(f"expected key=value, got {text!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _CONFIG_FIELDS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+                raise ValueError(f"unknown config key {key!r}")
             name, cast = _CONFIG_FIELDS[key]
             config = replace(config, **{name: cast(value)})
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return config

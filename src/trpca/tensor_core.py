@@ -135,5 +135,9 @@ def read_tensor(f: BinaryIO) -> np.ndarray:
 
 
 def load_tensor(path) -> np.ndarray:
+    """Read a tensor file; a malformed one raises ``ValueError`` starting with ``path``."""
     with open(path, "rb") as f:
-        return read_tensor(f)
+        try:
+            return read_tensor(f)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc

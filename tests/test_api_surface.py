@@ -1,7 +1,7 @@
-"""The library's public surface, pinned: the ``__all__`` names and the options of the seven
-modules.  An option is a defaulted parameter of a public function or method, or a defaulted
-field of a public dataclass.  A name or option added or removed changes a list below, in the
-same change."""
+"""The library's public surface, pinned: the ``__all__`` names, the public functions and
+classes of ``cli`` (which has no ``__all__``) and the options of the seven modules.  An option
+is a defaulted parameter of a public function or method, or a defaulted field of a public
+dataclass.  A name or option added or removed changes a list below, in the same change."""
 
 import dataclasses
 import importlib
@@ -59,6 +59,16 @@ NAMES = [
     "imaging.corrupt_pixels",
     "imaging.psnr",
     "imaging.denoise",
+]
+
+CLI_NAMES = [
+    "cli.main",
+    "cli.build_parser",
+    "cli.cmd_tsvd",
+    "cli.cmd_solve",
+    "cli.cmd_table1",
+    "cli.cmd_phase",
+    "cli.cmd_denoise",
 ]
 
 OPTIONS = [
@@ -137,6 +147,11 @@ def test_all_names():
     names, _ = surface()
     assert sorted(names) == sorted(NAMES)
     assert len(NAMES) == 49
+
+
+def test_cli_names():
+    cli = importlib.import_module("trpca.cli")
+    assert sorted(f"cli.{name}" for name, _ in public(cli)) == sorted(CLI_NAMES)
 
 
 def test_options():

@@ -347,11 +347,14 @@ class TestExperimentFlagValidation:
             ("phase", "--grid", "0x3"),
             ("phase", "--hi", "2"),
             ("phase", "--seed", "-1"),
+            ("tsvd", "--tol", "-1"),
+            ("tsvd", "--tol", "nan"),
         ],
     )
-    def test_out_of_range_flag_exit_2(self, tmp_path, capsys, command, flag, value):
+    def test_out_of_range_flag_exit_2(self, tmp_path, capsys, identity_file, command, flag, value):
         out = tmp_path / "o.csv"
-        args = [command, "--n", "8", "--n3", "2", flag, value, "--out", str(out)]
+        sizes = ["--n", "8", "--n3", "2", "--out", str(out)]
+        args = [command] + ([str(identity_file)] if command == "tsvd" else sizes) + [flag, value]
         assert main(args) == EXIT_INPUT
         captured = capsys.readouterr()
         assert flag in captured.err and captured.out == ""
@@ -389,6 +392,46 @@ def test_os_error_exit_2(tmp_path, capsys, args):
     assert main([a.format(tmp=tmp_path) for a in args]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args, path",
+    [
+        (["solve", "x.tns3", "--config", "key.cfg"], "key.cfg"),
+        (["solve", "x.tns3", "--config", "value.cfg"], "value.cfg"),
+        (["solve", "x.tns3", "--config", "cast.cfg"], "cast.cfg"),
+        (["solve", "x.tns3", "--config", "utf.cfg"], "utf.cfg"),
+        (["solve", "x.tns3", "--config", "missing.cfg"], "missing.cfg"),
+        (["tsvd", "magic.tns3"], "magic.tns3"),
+        (["tsvd", "missing.tns3"], "missing.tns3"),
+        (["denoise", "zero.pgm"], "zero.pgm"),
+        (["denoise", "frames"], "frames"),
+        (["denoise", "missing.pgm"], "missing.pgm"),
+    ],
+    ids=["config-key", "config-value", "config-cast", "config-utf8", "config-missing",
+         "tensor-magic", "tensor-missing", "image-zero-extent", "frames-zero-extent",
+         "image-missing"],
+)
+def test_bad_input_file_named_once(tmp_path, monkeypatch, capsys, args, path):
+    """A bad input file exits 2 with one error line that names the file once.  The command
+    runs in ``tmp_path`` on relative paths, so no other part of the test's path is counted."""
+    monkeypatch.chdir(tmp_path)
+    save_tensor(Path("x.tns3"), np.zeros((3, 3, 2)))
+    Path("key.cfg").write_text("foo = 1\n")
+    Path("value.cfg").write_text("eps = -1\n")
+    Path("cast.cfg").write_text("max_iter = 2.5\n")
+    Path("utf.cfg").write_bytes(b"\xff\xfe=1\n")
+    Path("magic.tns3").write_bytes(b"NOPE" + b"\0" * 40)
+    Path("zero.pgm").write_bytes(b"P5\n0 4 255\n")
+    Path("frames").mkdir()
+    Path("frames", "a.pgm").write_bytes(b"P5\n0 4 255\n")
+    outs = {"solve": ["--out-L", "L", "--out-E", "E"], "tsvd": [], "denoise": ["--out-dir", "o"]}
+    assert main(args + outs[args[0]]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert err.count(path) == 1
 
 
 class TestOutputsOpenedFirst:

@@ -331,3 +331,15 @@ class TestConfigFile:
         path.write_text("rho 1.5\n")
         with pytest.raises(ValueError, match="key=value"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [(b"eps = -1\n", 1), (b"max_iter = 2.5\n", 1), (b"rho = 1.5\n\xff\xfe=1\n", 2)],
+        ids=["rejected-value", "failed-cast", "not-utf8"],
+    )
+    def test_error_starts_with_path_and_line(self, tmp_path, data, line):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as info:
+            load_config(path)
+        assert str(info.value).startswith(f"{path}:{line}: ")

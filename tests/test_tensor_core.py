@@ -181,6 +181,20 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="size mismatch"):
             tc.read_tensor(io.BytesIO(buf.getvalue() + b"\0"))
 
+    @pytest.mark.parametrize("kind", ["magic", "short"])
+    def test_load_names_the_file(self, rng, tmp_path, kind):
+        # the same error as from an unnamed stream, after the path
+        buf = io.BytesIO()
+        tc.write_tensor(buf, random_tensor(rng, 2, 2, 2))
+        data = b"XXXX" + buf.getvalue()[4:] if kind == "magic" else buf.getvalue()[:-8]
+        with pytest.raises(ValueError) as unnamed:
+            tc.read_tensor(io.BytesIO(data))
+        path = tmp_path / "bad.tns3"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as named:
+            tc.load_tensor(path)
+        assert str(named.value) == f"{path}: {unnamed.value}"
+
     def test_unseekable_stream_round_trip(self, rng):
         # more than one read chunk, through a stream that cannot report its length
         A = random_tensor(rng, 64, 64, 40)
