@@ -2,10 +2,13 @@
 
 Subcommands: ``tsvd`` (inspect a tensor file), ``solve`` (decompose a tensor), ``table1``
 (seeded exact-recovery trials), ``phase`` (rank vs sparsity phase grid), ``denoise`` (image
-recovery).  Exit codes: 0 on success, 2 on bad input, a file that cannot be read or written, or
-two outputs that name one file, 3 when the solver hits the iteration cap, 4 on a numerical
-failure (a spectral factorization that LAPACK cannot compute).  An error prints one ``error:``
-line: one about a file's content starts with the file's path (``path:line:`` for a config file),
+recovery).  Exit codes: 0 on success, 2 on a bad command line, bad input, a file that cannot be
+read or written, or two outputs that name one file, 3 when the solver hits the iteration cap, 4
+on a numerical failure (a spectral factorization that LAPACK cannot compute, or a spectrum,
+singular values or ADMM residuals that are not finite).  An error prints one ``error:`` line
+and no usage block; ``-h`` prints the usage.  A bad flag is named (``error: argument --n: must
+be >= 1, got 0``), since argparse checks every flag's type and range before a command runs.  An
+error about a file's content starts with the file's path (``path:line:`` for a config file),
 and a file that cannot be opened gives Python's ``[Errno N] ...: 'path'``.  Every randomized
 command prints its seed, and identical seeds reproduce file outputs byte for byte.
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import json
 import math
@@ -136,23 +140,6 @@ def cmd_solve(args) -> int:
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
-# the closed range of each numeric flag, by its dest; ``main`` checks every flag a command
-# has before the command runs, so a bad value exits 2 before anything is printed
-_FLAG_RANGES = {
-    **dict.fromkeys(["n", "n3", "seeds", "trials"], (1, math.inf)),
-    **dict.fromkeys(["seed", "tol"], (0, math.inf)),
-    **dict.fromkeys(["r_frac", "m_frac", "lo", "hi", "fraction"], (0, 1)),
-}
-
-
-def _check_flags(args) -> None:
-    for dest, (lo, hi) in _FLAG_RANGES.items():
-        value = getattr(args, dest, None)
-        if value is not None and not lo <= value <= hi:  # NaN fails too
-            allowed = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
-            raise ValueError(f"--{dest.replace('_', '-')} must be {allowed}, got {value}")
-
-
 def cmd_table1(args) -> int:
     n, n3 = args.n, args.n3
     r = max(1, round(args.r_frac * n))
@@ -188,18 +175,8 @@ def cmd_table1(args) -> int:
     return EXIT_OK
 
 
-def _parse_grid(text: str):
-    try:
-        nr, nrho = map(int, text.lower().split("x"))
-    except ValueError as exc:
-        raise ValueError(f"bad --grid {text!r}, expected like 10x10") from exc
-    if min(nr, nrho) < 1:
-        raise ValueError(f"bad --grid {text!r}, both axes must be >= 1")
-    return nr, nrho
-
-
 def cmd_phase(args) -> int:
-    nr, nrho = _parse_grid(args.grid)
+    nr, nrho = args.grid
     config = _build_config(args)
     r_fracs = [round(v, 10) for v in np.linspace(args.lo, args.hi, nr)]
     rho_list = [round(v, 10) for v in np.linspace(args.lo, args.hi, nrho)]
@@ -277,10 +254,11 @@ def cmd_denoise(args) -> int:
         for image, picture in zip(images, pictures):
             imaging.write_netpbm(image, picture)
         base = "" if report.psnr_baseline is None else format(report.psnr_baseline, ".17g")
-        row = (f"{Path(args.input).name},{args.fraction},{args.seed},"
-               f"{format(report.psnr_trpca, '.17g')},{base},{report.solver_iterations}\n")
-        header = "file,fraction,seed,psnr_trpca,psnr_baseline,iterations\n"
-        f.write(header + row if os.fstat(f.fileno()).st_size == 0 else row)
+        rows = csv.writer(f, lineterminator="\n")
+        if os.fstat(f.fileno()).st_size == 0:
+            rows.writerow(["file", "fraction", "seed", "psnr_trpca", "psnr_baseline", "iterations"])
+        rows.writerow([Path(args.input).name, str(args.fraction), args.seed,
+                       format(report.psnr_trpca, ".17g"), base, report.solver_iterations])
     print(f"psnr_trpca: {report.psnr_trpca:.4f} dB")
     if report.psnr_baseline is not None:
         print(f"psnr_baseline: {report.psnr_baseline:.4f} dB")
@@ -288,8 +266,41 @@ def cmd_denoise(args) -> int:
     return EXIT_OK
 
 
+def _closed(kind, lo, hi=math.inf):
+    """The ``type=`` of a numeric flag: ``kind`` of the flag's text, which must lie in [lo, hi]."""
+
+    def parse(text):
+        value = kind(text)
+        if not lo <= value <= hi:  # NaN fails too
+            allowed = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+            raise argparse.ArgumentTypeError(f"must be {allowed}, got {value}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value: 'abc'"
+    return parse
+
+
+def _parse_grid(text: str) -> tuple[int, int]:
+    """The ``type=`` of ``--grid``: ``NRxNRHO`` as a pair of ints, each at least 1."""
+    try:
+        nr, nrho = map(int, text.lower().split("x"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected like 10x10, got {text!r}") from None
+    if min(nr, nrho) < 1:
+        raise argparse.ArgumentTypeError(f"both axes must be >= 1, got {text!r}")
+    return nr, nrho
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors raise ``ValueError``, so that ``main`` prints a bad
+    command line as one ``error:`` line and exits 2, as it does any other bad input."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trpca",
         description="Low-tubal-rank plus sparse tensor decomposition toolkit",
     )
@@ -297,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tsvd", help="inspect ranks, norms and incoherence of a tensor file")
     p.add_argument("input")
-    p.add_argument("--tol", type=float, default=t_algebra.DEFAULT_RANK_TOL)
+    p.add_argument("--tol", type=_closed(float, 0), default=t_algebra.DEFAULT_RANK_TOL)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_tsvd)
 
@@ -310,32 +321,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("table1", help="seeded exact-recovery trials, CSV output")
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--n3", type=int, default=100)
-    p.add_argument("--r-frac", dest="r_frac", type=float, default=0.1)
-    p.add_argument("--m-frac", dest="m_frac", type=float, default=0.1)
-    p.add_argument("--seeds", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_closed(int, 1), default=100)
+    p.add_argument("--n3", type=_closed(int, 1), default=100)
+    p.add_argument("--r-frac", dest="r_frac", type=_closed(float, 0, 1), default=0.1)
+    p.add_argument("--m-frac", dest="m_frac", type=_closed(float, 0, 1), default=0.1)
+    p.add_argument("--seeds", type=_closed(int, 1), default=1)
+    p.add_argument("--seed", type=_closed(int, 0), default=0)
     p.add_argument("--config", default=None)
     p.add_argument("--out", default="table1.csv")
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("phase", help="rank vs sparsity phase-transition grid")
-    p.add_argument("--n", type=int, default=40)
-    p.add_argument("--n3", type=int, default=20)
-    p.add_argument("--grid", default="10x10")
-    p.add_argument("--lo", type=float, default=0.02)
-    p.add_argument("--hi", type=float, default=0.4)
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_closed(int, 1), default=40)
+    p.add_argument("--n3", type=_closed(int, 1), default=20)
+    p.add_argument("--grid", type=_parse_grid, default="10x10")
+    p.add_argument("--lo", type=_closed(float, 0, 1), default=0.02)
+    p.add_argument("--hi", type=_closed(float, 0, 1), default=0.4)
+    p.add_argument("--trials", type=_closed(int, 1), default=3)
+    p.add_argument("--seed", type=_closed(int, 0), default=0)
     p.add_argument("--config", default=None)
     p.add_argument("--out", default="phase.csv")
     p.set_defaults(func=cmd_phase)
 
     p = sub.add_parser("denoise", help="corrupt and recover an image or PGM stack")
     p.add_argument("input", help="PPM/PGM file or a directory of PGM frames")
-    p.add_argument("--fraction", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--fraction", type=_closed(float, 0, 1), default=0.1)
+    p.add_argument("--seed", type=_closed(int, 0), default=0)
     p.add_argument("--baseline", action="store_true")
     p.add_argument("--config", default=None)
     p.add_argument("--out-dir", dest="out_dir", default="denoised")
@@ -345,10 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _check_flags(args)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except np.linalg.LinAlgError as exc:
         # a subclass of ValueError, so it must be caught first

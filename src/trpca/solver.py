@@ -8,7 +8,7 @@ low-rank factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,19 +51,28 @@ class SolverConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        # chained comparisons, so that NaN fails them and inf fails the upper bound
-        if self.lam is not None and not 0 < self.lam < np.inf:
-            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
-        if not 1 <= self.rho < np.inf:
-            raise ValueError(f"rho must be finite and >= 1, got {self.rho}")
-        if not 0 < self.mu0 <= self.mu_max < np.inf:
-            raise ValueError(
-                f"need finite 0 < mu0 <= mu_max, got mu0={self.mu0}, mu_max={self.mu_max}"
-            )
-        if not 0 < self.eps < np.inf:
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        for name in _FIELD_RANGES:
+            _check_field(name, getattr(self, name))
+        if not self.mu0 <= self.mu_max:
+            raise ValueError(f"need mu0 <= mu_max, got mu0={self.mu0}, mu_max={self.mu_max}")
+
+
+# each field's own range as (test, rule): chained comparisons, so that NaN fails every test
+# and inf every upper bound
+_FIELD_RANGES = {
+    "lam": (lambda v: v is None or 0 < v < np.inf, "lambda must be positive and finite"),
+    "rho": (lambda v: 1 <= v < np.inf, "rho must be finite and >= 1"),
+    "mu0": (lambda v: 0 < v < np.inf, "mu0 must be positive and finite"),
+    "mu_max": (lambda v: 0 < v < np.inf, "mu_max must be positive and finite"),
+    "eps": (lambda v: 0 < v < np.inf, "eps must be positive and finite"),
+    "max_iter": (lambda v: v >= 1, "max_iter must be >= 1"),
+}
+
+
+def _check_field(name: str, value) -> None:
+    test, rule = _FIELD_RANGES[name]
+    if not test(value):
+        raise ValueError(f"{rule}, got {value}")
 
 
 @dataclass
@@ -92,7 +101,9 @@ def solve(X: np.ndarray, config: SolverConfig | None = None, callback=None) -> T
       4. mu <- min(rho * mu, mu_max)
     from L = E = Y = 0, stopping when the max-norm changes of L and E and
     the feasibility gap are all <= eps.  Hitting max_iter returns a result
-    flagged converged=False rather than raising.
+    flagged converged=False rather than raising.  A residual that is not finite (the iterates
+    overflowed) raises ``np.linalg.LinAlgError`` naming the iteration, as does a spectrum or
+    singular values that are not finite (``t_algebra._svd``), so no NaN reads as converged.
 
     Steps 2 and 3, the three residuals and the next step 1's argument run as one pass over
     cache-sized blocks of rows of the tensor (``_update``), in one row slab per core from the
@@ -126,8 +137,9 @@ def solve(X: np.ndarray, config: SolverConfig | None = None, callback=None) -> T
         parts = t_algebra._blockwise(
             lambda b: _update(b, X, L, E, Y, L_new, E_new, P, mu, lam / mu, mu_next), slabs
         )
-        # a fold of max from 0.0 skips a NaN block maximum at any block count
-        res = tuple(max(0.0, *values) for values in zip(*parts))
+        res = tuple(max(values) for values in zip(*parts))
+        if not np.isfinite(parts).all():  # max would skip a NaN block maximum after the first
+            raise np.linalg.LinAlgError(f"ADMM residuals are not finite at iteration {k}")
         history.append(res)
         L, E = L_new, E_new
         if callback is not None:
@@ -226,10 +238,12 @@ def load_config(path) -> SolverConfig:
 
     Blank lines and '#' comments are ignored; unknown keys are an error.
     Keys the file does not mention keep their :class:`SolverConfig` defaults.
-    A line that does not decode, parse or give a valid config raises ``ValueError``
-    starting with ``path:lineno:``.
+    A line that does not decode or parse, or whose value is out of its own range, raises
+    ``ValueError`` starting with ``path:lineno:``.  The one check that spans two keys,
+    ``mu0 <= mu_max``, runs once the whole file is read, so the order of the keys does not
+    matter; its error names the later of the two lines, or the only one the file sets.
     """
-    config = SolverConfig()
+    values, linenos = {}, {}
     with open(path, "rb") as f:
         lines = f.read().splitlines()  # at \n, \r\n or \r, as text mode splits
     for lineno, raw in enumerate(lines, 1):
@@ -244,7 +258,13 @@ def load_config(path) -> SolverConfig:
             if key not in _CONFIG_FIELDS:
                 raise ValueError(f"unknown config key {key!r}")
             name, cast = _CONFIG_FIELDS[key]
-            config = replace(config, **{name: cast(value)})
+            values[name] = cast(value)
+            _check_field(name, values[name])
+            linenos[name] = lineno
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return config
+    try:
+        return SolverConfig(**values)
+    except ValueError as exc:  # mu0 > mu_max, with at least one of them from the file
+        lineno = max(linenos.get("mu0", 0), linenos.get("mu_max", 0))
+        raise ValueError(f"{path}:{lineno}: {exc}") from exc

@@ -135,9 +135,18 @@ def _svd(stack: np.ndarray, compute_uv: bool = True):
     on one BLAS thread; without ``compute_uv`` U and Vh are None.  LAPACK's divide-and-conquer
     SVD (gesdd) occasionally fails to converge on a finite matrix that its conjugate transpose
     factors fine, so a failed block is retried once on the conjugate transposes with the
-    factors swapped back."""
+    factors swapped back.
+
+    Only finite blocks reach LAPACK and only finite singular values are returned: a spectrum
+    with a NaN or an infinity (a finite tensor near the float64 limit overflows in the DFT),
+    or a matrix whose singular values overflow, raises ``LinAlgError``.  LAPACK was seen to
+    spin without end on the retry of an infinite block, and to return infinite singular values
+    for a finite one.  For the half spectrum of a 100^3 tensor, checking every block on one
+    thread took 1.1-1.4 ms, against 98-107 ms for its singular values (2-vCPU Xeon)."""
 
     def factor(b):
+        if not np.isfinite(stack[b]).all():
+            raise np.linalg.LinAlgError("the spectrum is not finite")
         try:
             out = np.linalg.svd(stack[b], full_matrices=False, compute_uv=compute_uv)
         except np.linalg.LinAlgError:
@@ -145,6 +154,8 @@ def _svd(stack: np.ndarray, compute_uv: bool = True):
             out = np.linalg.svd(H, full_matrices=False, compute_uv=compute_uv)
             if compute_uv:  # H = (U S Vh)^H, so its factors swap back
                 out = out[2].conj().swapaxes(1, 2), out[1], out[0].conj().swapaxes(1, 2)
+        if not np.isfinite(out[1] if compute_uv else out).all():
+            raise np.linalg.LinAlgError("the singular values are not finite")
         return out if compute_uv else (None, out, None)
 
     _, n1, n2 = stack.shape
@@ -577,6 +588,8 @@ def _sweep(A: np.ndarray, tol: float = DEFAULT_RANK_TOL, factors: bool = False):
     Ranks count singular values above ``tol`` times the global largest one.  U and Vh are None, or
     with ``factors`` the spectral factors, copied one at a time down to the tubal rank only where
     it is narrower.  A is freed once its half spectrum exists, if the caller holds no reference.
+    Besides ``_svd``'s ``LinAlgError``, a tnn whose sum of finite singular values overflows
+    raises one.
     """
     if not tol >= 0:  # NaN too
         raise ValueError(f"rank tolerance must be nonnegative, got {tol}")
@@ -587,11 +600,14 @@ def _sweep(A: np.ndarray, tol: float = DEFAULT_RANK_TOL, factors: bool = False):
     # slice k shares its singular values with its conjugate partner n3-k
     k = np.arange(n3)
     sv = s[np.minimum(k, -k % n3)]
+    nuclear = float(sv.sum() / n3)
+    if nuclear == np.inf:
+        raise np.linalg.LinAlgError("the tensor nuclear norm overflows")
     ranks = (sv > tol * sv.max(initial=0.0)).sum(axis=1).astype(int)
     if factors and ranks.max() < U.shape[2]:
         U = U[:, :, : ranks.max()].copy()
         Vh = Vh[:, : ranks.max(), :].copy()
-    return ranks, float(sv.sum() / n3), float(sv.max()), U, Vh
+    return ranks, nuclear, float(sv.max()), U, Vh
 
 
 def multi_rank(A: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

@@ -2,7 +2,11 @@
 importable from every test module (unlike ``conftest``, whose name
 ``perfbench/tests`` also uses)."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +43,23 @@ def basis_column(i, n, n3):
     e = np.zeros((n, 1, n3))
     e[i, 0, 0] = 1.0
     return e
+
+
+def overflowing_tensor(seed, shape):
+    """A finite tensor near the float64 limit: (4, 4, 2) with seed 1 has a half spectrum that
+    overflows to inf, (8, 8, 1) with seed 0 a slice whose singular values overflow."""
+    return 1.7e308 * np.random.default_rng(seed).uniform(-1, 1, shape)
+
+
+def run_python(code, *args, timeout=60):
+    """``python -c code *args`` in a child with ``src/`` and ``tests/`` on its path, stopped
+    after ``timeout`` seconds, so that a call that hangs fails its test instead of the suite."""
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(here.parent / "src"), str(here), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=timeout)
 
 
 def save_tensor(path, A):

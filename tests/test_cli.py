@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -14,7 +15,9 @@ from trpca.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_NUMERICAL, EXIT_OK, 
 from trpca.solver import incoherence_report
 from trpca.synth import TrialSpec, gen_low_rank, gen_sparse_uniform, make_instance
 
-from random_tensors import identity_tensor, save_netpbm, save_tensor, traced_peak
+from random_tensors import (
+    identity_tensor, overflowing_tensor, run_python, save_netpbm, save_tensor, traced_peak
+)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -370,6 +373,65 @@ class TestExperimentFlagValidation:
         captured = capsys.readouterr()
         assert flag in captured.err and captured.out == ""
         assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["table1", "--n", "abc"], "--n"),
+        (["table1", "--bogus", "1"], "--bogus"),
+        ([], None),
+        (["tsvd"], None),
+        (["phase", "--grid", "nonsense"], "--grid"),
+        (["table1", "--n", "0"], "--n"),
+        (["tsvd", "x.tns3", "--tol", "nan"], "--tol"),
+    ],
+    ids=["not-a-number", "unknown-flag", "no-command", "no-input", "bad-grid", "out-of-range",
+         "nan-tol"],
+)
+def test_bad_command_line_is_one_error_line(capsys, args, flag):
+    """argparse checks every flag's type and range, and its errors print one ``error:`` line
+    like every other bad input: no usage block, no ``SystemExit``."""
+    assert main(args) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "usage:" not in err
+    assert flag is None or flag in err
+
+
+def test_help_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["table1", "-h"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: trpca table1")
+
+
+class TestNonFiniteInput:
+    """A finite input whose spectrum or singular values overflow exits 4 with one
+    ``error: numerical failure:`` line, after any overflow warning of numpy's."""
+
+    @pytest.mark.parametrize("args", [["solve", "X.tns3", "--out-L", "L", "--out-E", "E"],
+                                      ["tsvd", "X.tns3", "--json"]], ids=["solve", "tsvd"])
+    def test_spectrum_overflows_exit_4(self, tmp_path, args):
+        # LAPACK can spin without end on such a spectrum, so the command runs in a child
+        save_tensor(tmp_path / "X.tns3", overflowing_tensor(1, (4, 4, 2)))
+        code = ("import os, sys; from trpca.cli import main; os.chdir(sys.argv[1]); "
+                "sys.exit(main(sys.argv[2:]))")
+        child = run_python(code, str(tmp_path), *args)
+        assert child.returncode == EXIT_NUMERICAL, child.stderr
+        assert child.stdout == "" and "Traceback" not in child.stderr
+        assert child.stderr.splitlines()[-1].startswith("error: numerical failure: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["X.tns3"]
+
+    def test_singular_values_overflow_exit_4(self, tmp_path, capsys):
+        # an infinite tnn would print "tnn": Infinity, which is not JSON
+        path = tmp_path / "X.tns3"
+        save_tensor(path, overflowing_tensor(0, (8, 8, 1)))
+        assert main(["tsvd", str(path), "--json"]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: numerical failure: ")
 
 
 @pytest.mark.parametrize(
@@ -830,6 +892,17 @@ class TestDenoiseCommand:
         assert lines[0] == "file,fraction,seed,psnr_trpca,psnr_baseline,iterations"
         rows = [["other.ppm", "0.1", "2"]] + ([] if first_fails else [["img.ppm", "0.1", "1"]])
         assert [line.split(",")[:3] for line in lines[1:]] == rows
+
+    def test_report_quotes_a_comma_in_the_name(self, tmp_path, capsys):
+        img = self._write_color_image(tmp_path, h=8, w=8)
+        named = tmp_path / "a,b.ppm"
+        img.rename(named)
+        out_dir = tmp_path / "out"
+        assert main(["denoise", str(named), "--out-dir", str(out_dir)]) == EXIT_OK
+        with open(out_dir / "denoise_report.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert [len(row) for row in rows] == [6, 6]
+        assert rows[1][:3] == ["a,b.ppm", "0.1", "0"]
 
     def test_unsupported_format_exit_2(self, tmp_path):
         bad = tmp_path / "img.png"

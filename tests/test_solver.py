@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from trpca import solver
 from trpca import t_algebra as ta
 from trpca import tensor_core as tc
 from trpca.solver import (
@@ -97,6 +98,12 @@ class TestSolve:
         X[0, 0, 0] = np.inf
         with pytest.raises(ValueError):
             solve(X)
+
+    def test_nan_residuals_raise(self, monkeypatch):
+        # max(0.0, nan) is 0.0, so a fold from 0.0 would read these residuals as converged
+        monkeypatch.setattr(solver, "tsvt", lambda P, tau: np.full(P.shape, np.nan))
+        with pytest.raises(np.linalg.LinAlgError, match="at iteration 1"):
+            solve(np.ones((4, 4, 3)))
 
     def test_converged_residuals_below_eps(self, rng):
         L0 = gen_low_rank((20, 20, 6), 2, rng)
@@ -331,6 +338,28 @@ class TestConfigFile:
         path.write_text("rho 1.5\n")
         with pytest.raises(ValueError, match="key=value"):
             load_config(path)
+
+    @pytest.mark.parametrize("data", [b"mu0 = 1e11\nmu_max = 1e12\n",
+                                      b"mu_max = 1e12\nmu0 = 1e11\n"],
+                             ids=["mu0-first", "mu_max-first"])
+    def test_key_order_does_not_matter(self, tmp_path, data):
+        # mu0 = 1e11 alone is above the default mu_max of 1e10
+        path = tmp_path / "solver.cfg"
+        path.write_bytes(data)
+        cfg = load_config(path)
+        assert (cfg.mu0, cfg.mu_max) == (1e11, 1e12)
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [(b"mu_max = 1e-4\nrho = 2\n", 1), (b"mu0 = 1e11\n# note\n", 1),
+         (b"mu0 = 1e11\nrho = 2\nmu_max = 1e10\n", 3), (b"mu_max = 1e10\nmu0 = 1e11\n", 2)],
+    )
+    def test_mu0_above_mu_max_names_the_later_line(self, tmp_path, data, line):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="mu0 <= mu_max") as info:
+            load_config(path)
+        assert str(info.value).startswith(f"{path}:{line}: ")
 
     @pytest.mark.parametrize(
         "data, line",

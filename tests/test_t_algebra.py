@@ -18,7 +18,9 @@ from random_tensors import (
     identity_tensor,
     is_orthogonal,
     on_complex_route,
+    overflowing_tensor,
     random_tensor,
+    run_python,
 )
 
 
@@ -596,6 +598,46 @@ class TestNorms:
             assert abs(np.vdot(A, B)) <= ta.tnn(A) * ta.spectral_norm(B) * (
                 1 + 1e-10
             )
+
+
+class TestNonFiniteSpectrum:
+    """A finite tensor whose spectrum, singular values or tnn overflow raises ``LinAlgError``:
+    ``_svd`` lets no block that is not finite reach LAPACK and returns no singular value that is
+    not finite, and ``_sweep`` checks the tnn's sum."""
+
+    @pytest.mark.parametrize("call", ["solve(X)", "tsvt(X, 1.0)", "ta.tsvd(X)",
+                                      "ta.multi_rank(X)"])
+    def test_spectrum_overflows(self, call):
+        # LAPACK can spin without end on such a spectrum, so the call runs in a child
+        code = (
+            "import numpy as np\n"
+            "from trpca import t_algebra as ta\n"
+            "from trpca.prox import tsvt\n"
+            "from trpca.solver import solve\n"
+            "from random_tensors import overflowing_tensor\n"
+            "X = overflowing_tensor(1, (4, 4, 2))\n"
+            "try:\n"
+            f"    {call}\n"
+            "except np.linalg.LinAlgError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise SystemExit('no LinAlgError')\n"
+        )
+        child = run_python(code)
+        assert child.returncode == 0, child.stderr
+
+    @pytest.mark.parametrize("fn", [solve, ta.tnn, ta.spectral_norm, ta.multi_rank, ta.tsvd],
+                             ids=lambda fn: fn.__name__)
+    def test_singular_values_overflow(self, fn):
+        X = overflowing_tensor(0, (8, 8, 1))
+        with np.errstate(over="ignore"), pytest.raises(np.linalg.LinAlgError):
+            fn(X)
+
+    def test_tnn_sum_overflows(self):
+        X = np.zeros((2, 2, 1))
+        X[0, 0, 0] = X[1, 1, 0] = 1e308  # two finite singular values whose sum is not
+        with np.errstate(over="ignore"), pytest.raises(np.linalg.LinAlgError, match="nuclear"):
+            ta.tnn(X)
 
 
 needs_fork = pytest.mark.skipif(
