@@ -24,6 +24,7 @@ import math
 import os
 import stat
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +133,7 @@ def cmd_solve(args) -> int:
         tensor_core.write_tensor(f_E, result.E)
     res_l, res_e, res_gap = result.residual_history[-1]
     print(f"lambda: {result.lam:.12g}")
+    print(f"mu0: {result.mu0:.12g}")
     print(f"iterations: {result.iterations}")
     print(f"converged: {'yes' if result.converged else 'no'}")
     print(f"residuals: dL={res_l:.3e} dE={res_e:.3e} gap={res_gap:.3e}")
@@ -356,16 +358,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except np.linalg.LinAlgError as exc:
-        # a subclass of ValueError, so it must be caught first
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    # Every result that is not finite raises and exits 4 with one line, so numpy's
+    # floating-point warnings ("overflow encountered in fft") would only repeat it.  Unlike
+    # np.errstate, which is thread-local, the warning filters hold on the pool's threads too.
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", r"(overflow|underflow|invalid value|divide by zero) encountered",
+            RuntimeWarning,
+        )
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except np.linalg.LinAlgError as exc:
+            # a subclass of ValueError, so it must be caught first
+            print(f"error: numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -215,18 +215,20 @@ class TestCriterion6RpcaReduction:
         flat[support] = rng.choice([-1.0, 1.0], size=90)
         X = L0 + E0
         lam = default_lambda(X.shape)
-        trajectory = []
-        res = solve(X, SolverConfig(lam=lam), callback=lambda k, L, E: trajectory.append((L, E)))
-        ref = list(matrix_rpca_reference(X[:, :, 0], lam))
-        worst = 0.0
-        for (L, E), (Lr, Er) in zip(trajectory, ref):
-            worst = max(worst, np.abs(L[:, :, 0] - Lr).max(), np.abs(E[:, :, 0] - Er).max())
-        ok = res.converged and len(trajectory) == len(ref) and worst <= 1e-10
-        report(
-            "6 (n3=1 matrix ADMM reduction)",
-            ok,
-            f"iters={len(trajectory)} worst per-iterate diff={worst:.1e}",
-        )
+        ok, details = True, []
+        # the default start 1.25 / ||X||_2, then the paper's mu0 = 1e-3
+        for mu0, ref_mu0 in [(None, 1.25 / np.linalg.norm(X[:, :, 0], 2)), (1e-3, 1e-3)]:
+            trajectory = []
+            res = solve(X, SolverConfig(lam=lam, mu0=mu0),
+                        callback=lambda k, L, E: trajectory.append((L, E)))
+            ref = list(matrix_rpca_reference(X[:, :, 0], lam, mu0=ref_mu0))
+            worst = 0.0
+            for (L, E), (Lr, Er) in zip(trajectory, ref):
+                worst = max(worst, np.abs(L[:, :, 0] - Lr).max(), np.abs(E[:, :, 0] - Er).max())
+            ok = ok and res.converged and len(trajectory) == len(ref) and worst <= 1e-10
+            details.append(f"mu0={res.mu0:.3g}: iters={len(trajectory)} "
+                           f"worst per-iterate diff={worst:.1e}")
+        report("6 (n3=1 matrix ADMM reduction)", ok, "; ".join(details))
 
 
 def make_test_image(seed, h=64, w=64):

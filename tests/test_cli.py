@@ -209,6 +209,19 @@ class TestSolveCommand:
         expected = 1.0 / np.sqrt(10 * 4)
         assert f"lambda: {expected:.12g}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("config, start", [(b"", None), (b"mu0 = 0.001\n", 1e-3)],
+                             ids=["data-scaled", "paper"])
+    def test_mu0_echoed_after_lambda(self, tmp_path, capsys, config, start):
+        X = gen_low_rank((10, 10, 4), 2, 0)
+        x_path, cfg = tmp_path / "x.tns3", tmp_path / "cfg"
+        save_tensor(x_path, X)
+        cfg.write_bytes(config)
+        outs = ["--out-L", str(tmp_path / "L"), "--out-E", str(tmp_path / "E")]
+        assert main(["solve", str(x_path), "--config", str(cfg)] + outs) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        start = 1.25 / t_algebra.spectral_norm(X) if start is None else start
+        assert lines[1] == f"mu0: {start:.12g}" and lines[0].startswith("lambda: ")
+
     def test_non_convergence_exit_3(self, tmp_path):
         rng = np.random.default_rng(5)
         x_path = tmp_path / "x.tns3"
@@ -409,19 +422,26 @@ def test_help_prints_usage_and_exits_0(capsys):
 
 class TestNonFiniteInput:
     """A finite input whose spectrum or singular values overflow exits 4 with one
-    ``error: numerical failure:`` line, after any overflow warning of numpy's."""
+    ``error: numerical failure:`` line and nothing else on stderr: none of numpy's overflow
+    warnings, also from the pool's threads."""
 
-    @pytest.mark.parametrize("args", [["solve", "X.tns3", "--out-L", "L", "--out-E", "E"],
-                                      ["tsvd", "X.tns3", "--json"]], ids=["solve", "tsvd"])
-    def test_spectrum_overflows_exit_4(self, tmp_path, args):
-        # LAPACK can spin without end on such a spectrum, so the command runs in a child
-        save_tensor(tmp_path / "X.tns3", overflowing_tensor(1, (4, 4, 2)))
+    @pytest.mark.parametrize(
+        "args, shape",
+        [(["solve", "X.tns3", "--out-L", "L", "--out-E", "E"], (4, 4, 2)),
+         (["tsvd", "X.tns3", "--json"], (4, 4, 2)),
+         (["tsvd", "X.tns3", "--json"], (60, 40, 30))],
+        ids=["solve", "tsvd", "tsvd-row-slabs"],
+    )
+    def test_spectrum_overflows_exit_4(self, tmp_path, args, shape):
+        # LAPACK can spin without end on such a spectrum, so the command runs in a child;
+        # 60x40x30 is above SLAB_FLOOR, so its transform also runs on a pool thread
+        save_tensor(tmp_path / "X.tns3", overflowing_tensor(1, shape))
         code = ("import os, sys; from trpca.cli import main; os.chdir(sys.argv[1]); "
                 "sys.exit(main(sys.argv[2:]))")
         child = run_python(code, str(tmp_path), *args)
         assert child.returncode == EXIT_NUMERICAL, child.stderr
-        assert child.stdout == "" and "Traceback" not in child.stderr
-        assert child.stderr.splitlines()[-1].startswith("error: numerical failure: ")
+        assert child.stdout == ""
+        assert child.stderr == "error: numerical failure: the spectrum is not finite\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["X.tns3"]
 
     def test_singular_values_overflow_exit_4(self, tmp_path, capsys):
@@ -431,7 +451,7 @@ class TestNonFiniteInput:
         assert main(["tsvd", str(path), "--json"]) == EXIT_NUMERICAL
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: numerical failure: ")
+        assert captured.err == "error: numerical failure: the singular values are not finite\n"
 
 
 @pytest.mark.parametrize(

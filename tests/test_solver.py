@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -14,7 +15,7 @@ from trpca.solver import (
     load_config,
     solve,
 )
-from trpca.synth import gen_low_rank, gen_sparse_uniform
+from trpca.synth import TrialSpec, gen_low_rank, gen_sparse_uniform, make_instance
 
 from random_tensors import basis_column, identity_tensor, random_tensor
 
@@ -56,9 +57,10 @@ class TestDefaultLambda:
 
 class TestSolverConfig:
     def test_defaults(self):
+        # the data-scaled start (mu0 None) and Algorithm 1's rho, mu_max, eps and max_iter
         c = SolverConfig()
-        assert (c.rho, c.mu0, c.mu_max, c.eps, c.max_iter) == (1.1, 1e-3, 1e10, 1e-8, 500)
-        assert c.lam is None
+        assert (c.rho, c.mu_max, c.eps, c.max_iter) == (1.1, 1e10, 1e-8, 500)
+        assert c.lam is None and c.mu0 is None
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -127,9 +129,9 @@ class TestSolve:
         assert r1.residual_history == r2.residual_history
 
     def test_scaling_homogeneity(self, rng):
-        # the minimizer scales with the input (same lambda); the iterate
-        # path does not because the mu schedule is absolute, so compare the
-        # converged outputs at solver accuracy
+        # the minimizer scales with the input (same lambda); from the data-scaled start so do
+        # the iterates, up to rounding, but eps is absolute, so the two solves stop at
+        # different iterations: compare the converged outputs at solver accuracy
         L0 = gen_low_rank((15, 15, 4), 2, 21)
         E0 = gen_sparse_uniform((15, 15, 4), 60, 22)
         X = L0 + E0
@@ -141,6 +143,19 @@ class TestSolve:
         scale = c * tc.norm_fro(X)
         assert tc.norm_fro(r2.L - c * r1.L) <= 1e-6 * scale
         assert tc.norm_fro(r2.E - c * r1.E) <= 1e-6 * scale
+
+    def test_large_scale_recovers_under_the_data_scaled_start(self):
+        # 20x20x6, r = 2, m = 100, times 1e6: from the paper's mu0 = 1e-3 the absolute eps
+        # stops the solve at relative error 1.3 of L with converged=True
+        spec = TrialSpec(tc.TensorDims(20, 20, 6), 2, "uniform_m", 100, seed=0)
+        L0, E0 = make_instance(spec)
+        res = solve(1e6 * (L0 + E0))
+        assert res.converged
+        assert tc.norm_fro(res.L - 1e6 * L0) <= 1e-8 * tc.norm_fro(1e6 * L0)
+
+    def test_zero_input_starts_at_mu_max(self):
+        # the spectral norm of 0 is 0, so 1.25 / ||X||_2 is not defined
+        assert solve(np.zeros((4, 4, 3)), SolverConfig(mu_max=1e6)).mu0 == 1e6
 
     def test_small_exact_recovery(self, rng):
         L0 = gen_low_rank((30, 30, 8), 3, 7)
@@ -164,18 +179,22 @@ class TestSolve:
         assert a.E.tobytes() == b.E.tobytes() and a.L.tobytes() == b.L.tobytes()
 
     def test_matrix_rpca_trajectory_matches(self, rng):
-        # n3 = 1 reduction against the standalone matrix implementation
+        # n3 = 1 reduction against the standalone matrix implementation, under the default
+        # start 1.25 / ||X||_2 and under the paper's mu0 = 1e-3
         L0 = gen_low_rank((25, 25, 1), 2, 3)
         E0 = gen_sparse_uniform((25, 25, 1), 60, 4)
         X = L0 + E0
         lam = default_lambda(X.shape)
-        trajectory = []
-        solve(X, SolverConfig(lam=lam), callback=lambda k, L, E: trajectory.append((L, E)))
-        ref = list(matrix_rpca_reference(X[:, :, 0], lam))
-        assert len(trajectory) == len(ref)
-        for (L, E), (Lr, Er) in zip(trajectory, ref):
-            assert np.abs(L[:, :, 0] - Lr).max() <= 1e-10
-            assert np.abs(E[:, :, 0] - Er).max() <= 1e-10
+        for mu0, ref_mu0 in [(None, 1.25 / np.linalg.norm(X[:, :, 0], 2)), (1e-3, 1e-3)]:
+            trajectory = []
+            res = solve(X, SolverConfig(lam=lam, mu0=mu0),
+                        callback=lambda k, L, E: trajectory.append((L, E)))
+            assert res.mu0 == pytest.approx(ref_mu0, rel=1e-12)
+            ref = list(matrix_rpca_reference(X[:, :, 0], lam, mu0=ref_mu0))
+            assert len(trajectory) == len(ref)
+            for (L, E), (Lr, Er) in zip(trajectory, ref):
+                assert np.abs(L[:, :, 0] - Lr).max() <= 1e-10
+                assert np.abs(E[:, :, 0] - Er).max() <= 1e-10
 
 
 class TestSlabs:
@@ -325,7 +344,7 @@ class TestConfigFile:
         assert cfg.lam == 0.05
         assert cfg.rho == 1.2
         assert cfg.max_iter == 50
-        assert cfg.mu0 == 1e-3  # untouched default
+        assert cfg.mu0 is None  # untouched default: the data-scaled start
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -351,7 +370,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(
         "data, line",
-        [(b"mu_max = 1e-4\nrho = 2\n", 1), (b"mu0 = 1e11\n# note\n", 1),
+        [(b"mu0 = 1e-3\nmu_max = 1e-4\n", 2), (b"mu0 = 1e11\n# note\n", 1),
          (b"mu0 = 1e11\nrho = 2\nmu_max = 1e10\n", 3), (b"mu_max = 1e10\nmu0 = 1e11\n", 2)],
     )
     def test_mu0_above_mu_max_names_the_later_line(self, tmp_path, data, line):
@@ -360,6 +379,17 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="mu0 <= mu_max") as info:
             load_config(path)
         assert str(info.value).startswith(f"{path}:{line}: ")
+
+    def test_mu_max_alone_caps_the_data_scaled_start(self, tmp_path):
+        # without mu0 there is no mu0 <= mu_max check: 1.25 / ||X||_2 is 0.41 here, so the
+        # solve starts at mu_max
+        path = tmp_path / "solver.cfg"
+        path.write_bytes(b"mu_max = 1e-4\n")
+        cfg = load_config(path)
+        assert (cfg.mu0, cfg.mu_max) == (None, 1e-4)
+        X = gen_low_rank((8, 8, 3), 1, 0)
+        assert 1.25 / ta.spectral_norm(X) > 1e-4
+        assert solve(X, dataclasses.replace(cfg, max_iter=2)).mu0 == 1e-4
 
     @pytest.mark.parametrize(
         "data, line",
