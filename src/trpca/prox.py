@@ -55,20 +55,26 @@ def tsvt(Y: np.ndarray, tau: float) -> np.ndarray:
     equals truncating each slice separately.  All of it goes by blocks of
     slices, in one chunk per core above the parallel layer's work floor, and no
     temporary but the factors is as large as the stack; no bit depends on that.
-    Everything after the zero check runs with OpenBLAS on one thread.
+    Everything after the zero check runs with OpenBLAS on one thread.  Y is freed once its
+    half spectrum exists, if the caller holds no other reference, so a caller that hands
+    over its only one has that memory back before the factorization.  A spectrum that is not
+    finite reaches ``_svd``, which raises ``np.linalg.LinAlgError``.
     """
     if not tau > 0:  # NaN too
         raise ValueError(f"tau must be positive, got {tau}")
     Y = as_tensor(Y)
-    stack = _half_spectrum(Y)
+    shape, stack = Y.shape, _half_spectrum(Y)
+    del Y
     pieces = _chunks(stack)
-    top = max(_blockwise(lambda b: np.linalg.norm(stack[b], axis=(1, 2)).max(), pieces))
-    if top <= tau:  # every singular value is at most tau, so every one shrinks to 0
-        return np.zeros(Y.shape)
+    # each block's largest slice norm; a NaN one fails both guards, which Python's max would
+    # skip after the first block
+    tops = _blockwise(lambda b: np.linalg.norm(stack[b], axis=(1, 2)).max(), pieces)
+    if all(top <= tau for top in tops):  # every singular value shrinks to 0
+        return np.zeros(shape)
     with _one_blas_thread():
-        if top <= GRAM_RATIO * tau:
+        if all(top <= GRAM_RATIO * tau for top in tops):
             try:
-                return _from_half_spectrum(_gram_svt(stack, tau, pieces), Y.shape[2])
+                return _from_half_spectrum(_gram_svt(stack, tau, pieces), shape[2])
             except np.linalg.LinAlgError:
                 pass  # eigh did not converge; the SVD, with its own retry, decides
         U, s, Vh = _svd(stack)
@@ -78,7 +84,7 @@ def tsvt(Y: np.ndarray, tau: float) -> np.ndarray:
         _blockwise(lambda b: np.matmul(U[b, :, :r] * s[b, None, :r], Vh[b, :r], out=stack[b]),
                    pieces)
         del U, Vh
-        return _from_half_spectrum(stack, Y.shape[2])
+        return _from_half_spectrum(stack, shape[2])
 
 
 def _gram_svt(stack: np.ndarray, tau: float, pieces: list) -> np.ndarray:

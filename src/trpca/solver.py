@@ -117,10 +117,13 @@ def solve(X: np.ndarray, config: SolverConfig | None = None, callback=None) -> T
 
     Steps 2 and 3, the three residuals and the next step 1's argument run as one pass over
     cache-sized blocks of rows of the tensor (``_update``), in one row slab per core from the
-    parallel layer's ``t_algebra.SLAB_FLOOR`` on.  Step 1's argument is written into one buffer
-    that lives for the whole solve, and without a callback step 2 updates E in place; step 2's
-    argument and Y/mu exist only a block at a time.  Every expression keeps the association
-    written above, so the result has the same bits at any slab or block count.
+    parallel layer's ``t_algebra.SLAB_FLOOR`` on.  Without a callback, step 2 updates E in
+    place and the next step 1's argument is written over the retired L; with one, both go into
+    fresh arrays.  The loop hands that argument to ``tsvt`` and keeps no reference, so it is
+    freed once its half spectrum exists: while ``tsvt`` factors, the solve holds X, L, E and Y
+    beside the half spectrum and the factors.  Step 2's argument and Y/mu exist only a block at
+    a time.  Every expression keeps the association written above, so the result has the same
+    bits at any slab or block count.
 
     ``callback(k, L, E)``, when given, is invoked after every iteration; no later iteration
     writes to the arrays it receives.
@@ -137,19 +140,21 @@ def solve(X: np.ndarray, config: SolverConfig | None = None, callback=None) -> T
     L = np.zeros(X.shape)
     E = np.zeros(X.shape)
     Y = np.zeros(X.shape)
-    # the argument of step 1, X - E - Y/mu: with E = Y = 0 that is X, bit for bit
-    P = X.copy()
+    # the argument of step 1, X - E - Y/mu: with E = Y = 0 that is X, bit for bit; the loop
+    # pops it, so that tsvt holds the only reference and frees it before its factorization
+    P = [X.copy()]
     slabs = t_algebra._slabs(X.shape)
     mu = mu0
     history = []
     converged = False
     k = 0
     for k in range(1, config.max_iter + 1):
-        L_new = tsvt(P, 1.0 / mu)
+        L_new = tsvt(P.pop(), 1.0 / mu)
         E_new = E if callback is None else np.empty(X.shape)
+        P.append(L if callback is None else np.empty(X.shape))  # the retired L takes the next P
         mu_next = min(config.rho * mu, config.mu_max)
         parts = t_algebra._blockwise(
-            lambda b: _update(b, X, L, E, Y, L_new, E_new, P, mu, lam / mu, mu_next), slabs
+            lambda b: _update(b, X, L, E, Y, L_new, E_new, P[0], mu, lam / mu, mu_next), slabs
         )
         res = tuple(max(values) for values in zip(*parts))
         if not np.isfinite(parts).all():  # max would skip a NaN block maximum after the first
@@ -175,8 +180,9 @@ def solve(X: np.ndarray, config: SolverConfig | None = None, callback=None) -> T
 
 def _update(b, X, L, E, Y, L_new, E_new, P, mu, tau, mu_next) -> tuple:
     """Steps 2 and 3 of ``solve`` on the block of rows ``b``, with tau = lam/mu: writes E_new,
-    which may be E, updates Y, then writes the next iteration's step-1 argument into P.
-    Returns the block's three residual maxima."""
+    which may be E, updates Y, then writes the next iteration's step-1 argument into P, which
+    may be L: the block's dL reads L before its P is written.  Returns the block's three
+    residual maxima."""
     x, l_new, e_new, y = X[b], L_new[b], E_new[b], Y[b]
     B = np.subtract(x, l_new)
     t = np.divide(y, mu)

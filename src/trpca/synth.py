@@ -193,7 +193,7 @@ def run_trial(spec: TrialSpec, config: SolverConfig | None = None) -> TrialOutco
     """Generate one instance, solve it and score the recovery.
 
     X is the sum of one ``make_instance`` call, whose parts are freed before the solve; the
-    instance is made a second time for scoring, once X is freed."""
+    instance is made a second time for scoring, once X and |E| are freed."""
     X = np.add(*make_instance(spec))
     start = time.perf_counter()
     result: TrpcaResult = solve(X, config)
@@ -202,6 +202,7 @@ def run_trial(spec: TrialSpec, config: SolverConfig | None = None) -> TrialOutco
     abs_e = np.abs(result.E)
     e_max = float(abs_e.max())
     nnz_hat = int(np.count_nonzero(abs_e > NNZ_REL_TOL * e_max)) if e_max else 0
+    del abs_e
     L0, E0 = make_instance(spec)
     rel_l = _rel_err(result.L, L0)
     return TrialOutcome(

@@ -51,6 +51,16 @@ def overflowing_tensor(seed, shape):
     return 1.7e308 * np.random.default_rng(seed).uniform(-1, 1, shape)
 
 
+def nan_spectrum_tensor():
+    """A finite 200x200x8 tensor, zero but for the tube 1.7e308 * [1, 1, 1, 1, -1, -1, -1, -1]
+    at (0, 0).  Slices 0, 2 and 4 of its half spectrum are zero and slices 1 and 3 hold NaN
+    (inf - inf).  Each slice is a block of its own, so a route guard that folds the block
+    norms [0, nan, 0, nan, 0] with Python's ``max`` reads 0."""
+    X = np.zeros((200, 200, 8))
+    X[0, 0, :] = 1.7e308 * np.array([1, 1, 1, 1, -1, -1, -1, -1])
+    return X
+
+
 def run_python(code, *args, timeout=60):
     """``python -c code *args`` in a child with ``src/`` and ``tests/`` on its path, stopped
     after ``timeout`` seconds, so that a call that hangs fails its test instead of the suite."""

@@ -16,7 +16,8 @@ from trpca.solver import incoherence_report
 from trpca.synth import TrialSpec, gen_low_rank, gen_sparse_uniform, make_instance
 
 from random_tensors import (
-    identity_tensor, overflowing_tensor, run_python, save_netpbm, save_tensor, traced_peak
+    identity_tensor, nan_spectrum_tensor, overflowing_tensor, run_python, save_netpbm, save_tensor,
+    traced_peak,
 )
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -443,6 +444,19 @@ class TestNonFiniteInput:
         assert child.stdout == ""
         assert child.stderr == "error: numerical failure: the spectrum is not finite\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["X.tns3"]
+
+    def test_nan_spectrum_from_the_paper_start_exit_4(self, tmp_path, monkeypatch, capsys):
+        # not an exit 0 with an all-zero L from a first tsvt that reads this NaN spectrum as
+        # zero; the default start fails earlier, in spectral_norm
+        monkeypatch.chdir(tmp_path)
+        save_tensor("X.tns3", nan_spectrum_tensor())
+        (tmp_path / "cfg").write_text("mu0 = 0.001\n")
+        args = ["solve", "X.tns3", "--config", "cfg", "--out-L", "L", "--out-E", "E"]
+        assert main(args) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: numerical failure: the spectrum is not finite\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["X.tns3", "cfg"]
 
     def test_singular_values_overflow_exit_4(self, tmp_path, capsys):
         # an infinite tnn would print "tnn": Infinity, which is not JSON

@@ -1,15 +1,17 @@
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
 
+from trpca import prox
 from trpca import t_algebra as ta
 from trpca import tensor_core as tc
 from trpca.prox import soft_threshold, tsvt
 
-from random_tensors import on_complex_route, random_tensor, traced_peak
+from random_tensors import nan_spectrum_tensor, on_complex_route, random_tensor, traced_peak
 
 
 def tnn_objective(L, Y, tau):
@@ -161,6 +163,12 @@ class TestTsvt:
         L = tsvt(Y, 0.2)
         assert L.dtype == np.float64
         assert np.isfinite(L).all()
+
+    def test_nan_spectrum_raises(self):
+        # Python's max skips a NaN block norm after the first, so a guard folding with it
+        # reads this spectrum as zero and returns zeros
+        with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError, match="spectrum"):
+            tsvt(nan_spectrum_tensor(), 1.0)
 
 
 def svt_reference(Y, tau):
@@ -558,6 +566,27 @@ class TestTracedMemory:
         monkeypatch.setattr(ta, "_WORKERS", 1)
         peak = traced_peak(lambda: tsvt(Y, 1.0))
         assert peak <= bound * Y.nbytes
+
+    @pytest.mark.parametrize("top, route", [(50.0, "_gram_svt"), (1e4, "_svd")],
+                             ids=["gram", "svd"])
+    def test_argument_freed_before_the_factorization(self, rng, monkeypatch, top, route):
+        # a caller that hands over its only reference, as solve does, gets the argument's
+        # memory back once the half spectrum exists
+        refs, alive = [], []
+        factor = getattr(prox, route)
+
+        def spy(*args):
+            alive.append(refs[0]() is not None)
+            return factor(*args)
+
+        def handed_over():
+            Y = tensor_with_spectrum(rng, 30, 20, 6, lambda k: np.r_[top, np.full(19, 0.5)])
+            refs.append(weakref.ref(Y))
+            return Y
+
+        monkeypatch.setattr(prox, route, spy)
+        tsvt(handed_over(), 1.0)
+        assert alive == [False]
 
 
 class TestWorkSharingMap:

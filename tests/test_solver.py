@@ -17,7 +17,9 @@ from trpca.solver import (
 )
 from trpca.synth import TrialSpec, gen_low_rank, gen_sparse_uniform, make_instance
 
-from random_tensors import basis_column, identity_tensor, random_tensor
+from random_tensors import (
+    basis_column, identity_tensor, nan_spectrum_tensor, random_tensor, traced_peak
+)
 
 
 def matrix_rpca_reference(X, lam, rho=1.1, mu0=1e-3, mu_max=1e10, eps=1e-8, max_iter=500):
@@ -106,6 +108,22 @@ class TestSolve:
         monkeypatch.setattr(solver, "tsvt", lambda P, tau: np.full(P.shape, np.nan))
         with pytest.raises(np.linalg.LinAlgError, match="at iteration 1"):
             solve(np.ones((4, 4, 3)))
+
+    def test_nan_spectrum_raises_from_the_paper_start(self):
+        # the default start raises in spectral_norm; from mu0 = 1e-3 the first tsvt must raise,
+        # not read this NaN spectrum as zero and report converged with L = 0
+        with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError, match="spectrum"):
+            solve(nan_spectrum_tensor(), SolverConfig(mu0=1e-3))
+
+    def test_traced_peak(self, monkeypatch):
+        """The step-1 argument is not part of the peak: tsvt frees it once its half spectrum
+        exists.  Measured 6.29 sizes of the 60^3 X; 7.29 while the argument had a buffer of
+        its own for the whole solve."""
+        monkeypatch.setattr(ta, "_WORKERS", 1)
+        spec = TrialSpec(tc.TensorDims(60, 60, 60), 6, "uniform_m", 60**3 // 10, 3)
+        X = np.add(*make_instance(spec))
+        peak = traced_peak(lambda: solve(X, SolverConfig(max_iter=5)))
+        assert peak <= 6.6 * X.nbytes
 
     def test_converged_residuals_below_eps(self, rng):
         L0 = gen_low_rank((20, 20, 6), 2, rng)
