@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .t_algebra import (
-    _blockwise, _chunks, _factor_blocks, _from_half_spectrum, _half_spectrum, _one_blas_thread, _svd
+    _blockwise, _chunks, _from_half_spectrum, _half_spectrum, _one_blas_thread, _svd
 )
 from .tensor_core import as_tensor
 
@@ -53,8 +53,10 @@ def tsvt(Y: np.ndarray, tau: float) -> np.ndarray:
     slices are rebuilt together up to the largest rank kept in any of them;
     the shrunk singular values past a slice's own rank are zero, so this
     equals truncating each slice separately.  All of it goes by blocks of
-    slices, in one chunk per core above the parallel layer's work floor, and no
-    temporary but the factors is as large as the stack; no bit depends on that.
+    slices, in one chunk per core above the parallel layer's work floor.  Once factored, a
+    block of a larger stack keeps only the singular vectors that some slice of it keeps, and
+    pads them back to full width only for its own rebuild, so no temporary is as large as the
+    stack; no bit depends on any of that.
     Everything after the zero check runs with OpenBLAS on one thread.  Y is freed once its
     half spectrum exists, if the caller holds no other reference, so a caller that hands
     over its only one has that memory back before the factorization.  A spectrum that is not
@@ -77,13 +79,24 @@ def tsvt(Y: np.ndarray, tau: float) -> np.ndarray:
                 return _from_half_spectrum(_gram_svt(stack, tau, pieces), shape[2])
             except np.linalg.LinAlgError:
                 pass  # eigh did not converge; the SVD, with its own retry, decides
-        U, s, Vh = _svd(stack)
-        s = np.maximum(s - tau, 0.0)
-        r = int(np.count_nonzero(s, axis=1).max())
-        # the factors replace the stack, so the stack takes the result
-        _blockwise(lambda b: np.matmul(U[b, :, :r] * s[b, None, :r], Vh[b, :r], out=stack[b]),
-                   pieces)
-        del U, Vh
+        h, n1, n2 = stack.shape
+        k = min(n1, n2)
+
+        def keep(b, U, s, Vh):
+            s = np.maximum(s - tau, 0.0)
+            r = int(np.count_nonzero(s, axis=1).max())
+            return b.start, (r, _kept(U, np.s_[:, :, :r], h), s, _kept(Vh, np.s_[:, :r], h))
+
+        kept = dict(_svd(stack, keep=keep))
+        r = max(r for r, *_ in kept.values())
+
+        def rebuild(b):  # the factors replace the stack, so the stack takes the result
+            _, U, s, Vh = kept.pop(b.start)
+            U = _widened(U, (len(s), n1, k), np.s_[:, :, :U.shape[2]])
+            Vh = _widened(Vh, (len(s), k, n2), np.s_[:, :Vh.shape[1]])
+            np.matmul(U[:, :, :r] * s[:, None, :r], Vh[:, :r], out=stack[b])
+
+        _blockwise(rebuild, pieces)
         return _from_half_spectrum(stack, shape[2])
 
 
@@ -93,32 +106,56 @@ def _gram_svt(stack: np.ndarray, tau: float, pieces: list) -> np.ndarray:
     M is the slice, or its conjugate transpose for a wide slice, so the Gram
     matrix is on the smaller side.  With M = U S V^H, the shrunk slice
     U (S - tau)_+ V^H equals (M V) diag((1 - tau/s)_+) V^H, which each block of slices
-    is rebuilt from, a wide block conjugate-transposed back into the stack.
+    is rebuilt from, a wide block conjugate-transposed back into the stack.  Each block keeps
+    only the columns of V that a slice of it keeps (``_kept``) once its eigh has run.
     """
-    wide = stack.shape[1] < stack.shape[2]
+    h, wide, p = stack.shape[0], stack.shape[1] < stack.shape[2], min(stack.shape[1:])
 
     def factor(b):
         S, H = stack[b], stack[b].conj().swapaxes(1, 2)
         G = np.matmul(S, H) if wide else np.matmul(H, S)
         del H  # one block's conjugate fewer while eigh runs
-        return np.linalg.eigh(G)
+        lam, V = np.linalg.eigh(G)
+        s = np.sqrt(np.maximum(lam, 0.0))
+        # eigenvalues ascend, so the kept ones are the last columns of V
+        first = p - int(np.count_nonzero(s > tau, axis=1).max())
+        return b.start, (first, s, _kept(V, np.s_[:, :, first:], h))
 
-    p = min(stack.shape[1:])
-    lam, V = _factor_blocks(factor, stack, pieces, ((p,), float), ((p, p), stack.dtype))
-    # eigenvalues ascend, so the kept ones are the last columns of V
-    s = np.sqrt(np.maximum(lam, 0.0))
-    first = p - int(np.count_nonzero(s > tau, axis=1).max())
-    w = 1.0 - tau / np.maximum(s[:, first:], tau)
+    kept = dict(_blockwise(factor, pieces))
+    first = min(first for first, _, _ in kept.values())
 
     def rebuild(b):
-        M, Vb = stack[b].conj().swapaxes(1, 2) if wide else stack[b], V[b, :, first:]
-        MVw, Vh = (M @ Vb) * w[b, None, :], Vb.conj().swapaxes(1, 2)
+        _, s, V = kept.pop(b.start)
+        V = _widened(V, (len(s), p, p), np.s_[:, :, p - V.shape[2]:])[:, :, first:]
+        w = 1.0 - tau / np.maximum(s[:, first:], tau)
+        M = stack[b].conj().swapaxes(1, 2) if wide else stack[b]
+        MVw, Vh = (M @ V) * w[:, None, :], V.conj().swapaxes(1, 2)
         out = np.matmul(MVw, Vh, out=None if wide else stack[b])
         if wide:
             np.conjugate(out.swapaxes(1, 2), out=stack[b])
 
     _blockwise(rebuild, pieces)
     return stack
+
+
+def _kept(F: np.ndarray, index: tuple, h: int) -> np.ndarray:
+    """The columns ``F[index]`` of a block's factor that some slice of the block keeps, copied so
+    that the rest of F is freed; F itself when the block is the whole stack of h slices, so that
+    a stack of one block is rebuilt from its factors as the factorization returned them."""
+    return F if len(F) == h else F[index].copy()
+
+
+def _widened(F: np.ndarray, shape: tuple, index: tuple) -> np.ndarray:
+    """A factor that ``_kept`` narrowed, written at ``index`` of zeros of its full ``shape``; F
+    itself when it has that shape.  The rebuild's products then see the shapes and strides of
+    the full factors, and the zero columns have weight 0, so no bit moves.  Zeros only as wide
+    as the widest kept block give the products other strides; that was seen to move bits of
+    ``tsvt`` in the last place in a few random cases, though not in every run of such a check."""
+    if F.shape == shape:
+        return F
+    full = np.zeros(shape, F.dtype)
+    full[index] = F
+    return full
 
 
 def soft_threshold(Y: np.ndarray, tau: float) -> np.ndarray:

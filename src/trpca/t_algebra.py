@@ -16,7 +16,8 @@ output is real by construction.  For n3 <= 2 every kept slice is its own
 conjugate, so the stack is float64 and every consumer runs real LAPACK and
 BLAS kernels; at n3 = 1, where the DFT is the identity, neither transform runs.
 The t-product, the t-SVD and ``prox.tsvt`` go through them (``tsvt`` uses
-``_svd`` only where its Gram route would lose accuracy); ``_sweep`` reads one
+``_svd`` only where its Gram route would lose accuracy, and keeps of each
+block's factors only the singular vectors that it uses); ``_sweep`` reads one
 ``_svd`` call out as all the ranks, norms and rank-r factors that an
 inspection of a tensor needs.
 
@@ -130,12 +131,17 @@ def _from_half_spectrum(stack: np.ndarray, n3: int) -> np.ndarray:
     return out
 
 
-def _svd(stack: np.ndarray, compute_uv: bool = True):
-    """Thin SVD of every matrix in the stack, as (U, s, Vh), block by block (``_factor_blocks``)
-    on one BLAS thread; without ``compute_uv`` U and Vh are None.  LAPACK's divide-and-conquer
-    SVD (gesdd) occasionally fails to converge on a finite matrix that its conjugate transpose
-    factors fine, so a failed block is retried once on the conjugate transposes with the
-    factors swapped back.
+def _svd(stack: np.ndarray, compute_uv: bool = True, keep=None):
+    """Thin SVD of every matrix in the stack, as (U, s, Vh), on one BLAS thread, in the blocks of
+    ``_chunks`` by ``_blockwise``; without ``compute_uv`` U and Vh are None.  The blocks write into
+    outputs allocated here, so no full-size output is made on a pool thread.  A stack of one block
+    is one plain call, whose own outputs are returned: copying them cost a 64x64 colour
+    ``denoise --baseline`` 14,000 minor page faults (181 without) and 6% more time.  With
+    ``keep``, the list of ``keep(b, U, s, Vh)`` over the blocks b, each taken as soon as its
+    block is factored, is returned instead, so a caller that uses only some singular vectors
+    (``prox.tsvt``) never holds them all.  LAPACK's divide-and-conquer SVD (gesdd) occasionally
+    fails to converge on a finite matrix that its conjugate transpose factors fine, so a failed
+    block is retried once on the conjugate transposes with the factors swapped back.
 
     Only finite blocks reach LAPACK and only finite singular values are returned: a spectrum
     with a NaN or an infinity (a finite tensor near the float64 limit overflows in the DFT),
@@ -158,11 +164,24 @@ def _svd(stack: np.ndarray, compute_uv: bool = True):
             raise np.linalg.LinAlgError("the singular values are not finite")
         return out if compute_uv else (None, out, None)
 
-    _, n1, n2 = stack.shape
-    k = min(n1, n2)
-    U, Vh = [((n1, k), stack.dtype), ((k, n2), stack.dtype)] if compute_uv else [None, None]
+    h, n1, n2 = stack.shape
+    k, pieces = min(n1, n2), _chunks(stack)
     with _one_blas_thread():
-        return _factor_blocks(factor, stack, _chunks(stack), U, ((k,), float), Vh)
+        if keep is not None:
+            return _blockwise(lambda b: keep(b, *factor(b)), pieces)
+        if len(pieces) == 1 and len(pieces[0]) == 1:
+            return factor(pieces[0][0])
+        U = np.empty((h, n1, k), stack.dtype) if compute_uv else None
+        s = np.empty((h, k))
+        Vh = np.empty((h, k, n2), stack.dtype) if compute_uv else None
+
+        def write(b):
+            for out, value in zip((U, s, Vh), factor(b)):
+                if out is not None:
+                    out[b] = value
+
+        _blockwise(write, pieces)
+        return U, s, Vh
 
 
 def _blockwise(fn, pieces: list) -> list:
@@ -198,26 +217,6 @@ def _blockwise(fn, pieces: list) -> list:
         wait(rest)
         fn = None  # a pool thread may hold a finished task a moment longer
     return first + [out for f in rest for out in f.result()]
-
-
-def _factor_blocks(factor, stack: np.ndarray, pieces: list, *parts) -> tuple:
-    """``factor(slice(0, h))`` of a stack of h slices in the blocks of ``pieces`` (``_chunks``),
-    ``factor(b)`` giving one array of slices ``b`` per (shape, dtype) or None in ``parts``,
-    computed by ``_blockwise`` into outputs (h,) + shape allocated here, so no full-size output
-    is made on a pool thread.  One block is one plain call, whose own outputs are returned:
-    copying them cost a 64x64 colour ``denoise --baseline`` 14,000 minor page faults (181
-    without) and 6% more time.  The caller holds the BLAS pin."""
-    if len(pieces) == 1 and len(pieces[0]) == 1:
-        return factor(pieces[0][0])
-    outs = [None if p is None else np.empty(stack.shape[:1] + p[0], dtype=p[1]) for p in parts]
-
-    def write(b):
-        for out, value in zip(outs, factor(b)):
-            if out is not None:
-                out[b] = value
-
-    _blockwise(write, pieces)
-    return tuple(outs)
 
 
 # Parallel layer.  OpenBLAS splits each small LAPACK call of a batch over its

@@ -1,6 +1,6 @@
-"""Random test tensors, t-product identities and a complex-route reference,
-importable from every test module (unlike ``conftest``, whose name
-``perfbench/tests`` also uses)."""
+"""Random test tensors, t-product identities, a complex-route reference and a
+full-factor ``tsvt`` reference, importable from every test module (unlike
+``conftest``, whose name ``perfbench/tests`` also uses)."""
 
 import os
 import subprocess
@@ -118,3 +118,59 @@ def on_complex_route(fn, *args):
             mp.setattr(mod, "_half_spectrum", complex_half_spectrum)
             mp.setattr(mod, "_from_half_spectrum", complex_from_half_spectrum)
         return fn(*args)
+
+
+def full_factor_tsvt(Y, tau):
+    """``prox.tsvt`` as it was while both routes held every singular vector of the stack: each
+    block's factors written into outputs as large as the stack (a stack of one block keeps its
+    own), and every block rebuilt from them up to the largest rank kept in any slice.  The
+    reference that the routes keeping only the vectors they use must match bit for bit."""
+    shape, stack = Y.shape, ta._half_spectrum(Y)
+    pieces = ta._chunks(stack)
+    tops = ta._blockwise(lambda b: np.linalg.norm(stack[b], axis=(1, 2)).max(), pieces)
+    if all(top <= tau for top in tops):
+        return np.zeros(shape)
+    with ta._one_blas_thread():
+        if all(top <= prox.GRAM_RATIO * tau for top in tops):
+            try:
+                return ta._from_half_spectrum(_full_factor_gram_svt(stack, tau, pieces), shape[2])
+            except np.linalg.LinAlgError:
+                pass
+        U, s, Vh = ta._svd(stack)
+        s = np.maximum(s - tau, 0.0)
+        r = int(np.count_nonzero(s, axis=1).max())
+        ta._blockwise(lambda b: np.matmul(U[b, :, :r] * s[b, None, :r], Vh[b, :r], out=stack[b]),
+                      pieces)
+        return ta._from_half_spectrum(stack, shape[2])
+
+
+def _full_factor_gram_svt(stack, tau, pieces):
+    wide, p = stack.shape[1] < stack.shape[2], min(stack.shape[1:])
+
+    def factor(b):
+        S, H = stack[b], stack[b].conj().swapaxes(1, 2)
+        return np.linalg.eigh(np.matmul(S, H) if wide else np.matmul(H, S))
+
+    if len(pieces) == 1 and len(pieces[0]) == 1:
+        lam, V = factor(pieces[0][0])
+    else:
+        lam = np.empty(stack.shape[:1] + (p,))
+        V = np.empty(stack.shape[:1] + (p, p), stack.dtype)
+
+        def write(b):
+            lam[b], V[b] = factor(b)
+
+        ta._blockwise(write, pieces)
+    s = np.sqrt(np.maximum(lam, 0.0))
+    first = p - int(np.count_nonzero(s > tau, axis=1).max())
+    w = 1.0 - tau / np.maximum(s[:, first:], tau)
+
+    def rebuild(b):
+        M, Vb = stack[b].conj().swapaxes(1, 2) if wide else stack[b], V[b, :, first:]
+        MVw, Vh = (M @ Vb) * w[b, None, :], Vb.conj().swapaxes(1, 2)
+        out = np.matmul(MVw, Vh, out=None if wide else stack[b])
+        if wide:
+            np.conjugate(out.swapaxes(1, 2), out=stack[b])
+
+    ta._blockwise(rebuild, pieces)
+    return stack

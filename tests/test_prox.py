@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,7 +12,10 @@ from trpca import t_algebra as ta
 from trpca import tensor_core as tc
 from trpca.prox import soft_threshold, tsvt
 
-from random_tensors import nan_spectrum_tensor, on_complex_route, random_tensor, traced_peak
+from random_tensors import (
+    full_factor_tsvt, identity_tensor, nan_spectrum_tensor, on_complex_route, random_tensor,
+    traced_peak
+)
 
 
 def tnn_objective(L, Y, tau):
@@ -499,6 +503,74 @@ class TestParallelLayer:
         assert blas_threads() == before
 
 
+class TestKeptVectors:
+    """Each block of a larger stack keeps only the singular vectors that some slice of it keeps,
+    padded back to full width for its rebuild; both routes give the bits of the full factors."""
+
+    @pytest.mark.parametrize("n3", [2, 11], ids=["real", "complex"])
+    @pytest.mark.parametrize(
+        "shape", [(90, 90), (70, 110), (110, 70)], ids=["square", "wide", "tall"]
+    )
+    @pytest.mark.parametrize("top, route", [(50.0, "eigh"), (1e4, "svd")], ids=["gram", "svd"])
+    @pytest.mark.parametrize("workers", [0, 1])
+    @pytest.mark.usefixtures("blas_threads")
+    def test_matches_full_factors(self, rng, monkeypatch, n3, shape, top, route, workers):
+        # slice k keeps widths[k] singular values above tau = 1: blocks of one slice keep 3, 0,
+        # 1, 1, 0 and 2 of them, blocks of two 3, 1 and 2; sigma_1 = top picks the route
+        widths = [3, 0, 1, 1, 0, 2]
+        p = min(shape)
+
+        def svals(k):
+            s = np.r_[np.full(widths[k], 2.0), np.full(p - widths[k], 0.5)]
+            s[0] = top if k == 0 else s[0]
+            return s
+
+        Y = tensor_with_spectrum(rng, *shape, n3, svals)
+        stack = ta._half_spectrum(Y)
+        monkeypatch.setattr(ta, "_WORKERS", workers)
+        calls = TestParallelLayer.factorizations(monkeypatch)
+        for slices in (1, 2):
+            monkeypatch.setattr(ta, "_BLOCK", slices * shape[0] * shape[1])
+            calls.clear()
+            out = tsvt(Y, 1.0)
+            assert sorted(calls) == sorted((route, b.stop - b.start)
+                                           for c in ta._chunks(stack) for b in c)
+            assert np.array_equal(out, full_factor_tsvt(Y, 1.0))
+
+    @pytest.mark.parametrize("n3", [1, 2, 5])
+    @pytest.mark.parametrize("route", ["eigh", "svd"])
+    def test_nothing_above_tau_gives_zeros(self, monkeypatch, n3, route):
+        # every spectral slice is 0.9 tau I, whose Frobenius norm 1.8 tau passes the zero guard
+        # although no singular value exceeds tau; one slice per block
+        tau = 2.0
+        Y = 0.9 * tau * identity_tensor(4, n3)
+        monkeypatch.setattr(ta, "_BLOCK", 1)
+        if route == "svd":
+            monkeypatch.setattr(prox, "GRAM_RATIO", 1.0)
+        calls = TestParallelLayer.factorizations(monkeypatch)
+        out = tsvt(Y, tau)
+        assert {name for name, _ in calls} == {route} and len(calls) == n3 // 2 + 1
+        assert np.array_equal(out, np.zeros(Y.shape))
+
+    @pytest.mark.parametrize("top", [50.0, 1e4], ids=["gram", "svd"])
+    def test_block_of_width_zero_beside_width_three(self, rng, monkeypatch, top):
+        Y = tensor_with_spectrum(
+            rng, 12, 8, 2, lambda k: np.r_[top, 2.0, 2.0, np.full(5, 0.5)] if k == 0 else
+            np.full(8, 0.5)
+        )
+        monkeypatch.setattr(ta, "_BLOCK", 1)  # one block per slice
+        stacks, rebuilt = [], prox._from_half_spectrum
+
+        def spy(stack, n3):
+            stacks.append(stack.copy())
+            return rebuilt(stack, n3)
+
+        monkeypatch.setattr(prox, "_from_half_spectrum", spy)
+        assert np.array_equal(tsvt(Y, 1.0), full_factor_tsvt(Y, 1.0))
+        (stack,) = stacks
+        assert np.linalg.matrix_rank(stack[0]) == 3 and not stack[1].any()
+
+
 class TestBlasPin:
     """``tsvt`` and ``_svd`` pin OpenBLAS to one thread where they call BLAS, so a stack or
     tensor in one piece, which ``_blockwise`` runs as a plain loop, is pinned too, and so are
@@ -545,17 +617,19 @@ class TestBlasPin:
 
 class TestTracedMemory:
     """Traced peak of one ``tsvt`` above the work floor, on two threads, in sizes of its real
-    n1 x n2 x n3 argument.  The half spectrum and the result take about one each; the Gram route
-    holds one factor of the smaller side beside them and the SVD route two, and every other
-    temporary is a block of slices.  Measured: Gram 2.29 (square), 2.20 (wide), 2.04 (tall); SVD
-    3.31, 2.99, 2.99.  When the Gram matrices and the eigenvectors were whole-stack arrays and
-    the guard's norms took the whole stack at once: Gram 3.07, 4.66, 2.34; SVD 4.07, 3.59, 3.59
-    (the SVD factors then stayed alive through the inverse transform)."""
+    n1 x n2 x n3 argument.  The half spectrum and the result take about one each; beside them
+    either route holds only the singular vectors that the slices keep (five here) and the
+    temporaries of a block of slices.  Measured: Gram 2.02 (square), 2.04 (wide), 2.04 (tall);
+    SVD 2.02, 2.04, 2.04.  When each route held its full factors of the smaller side, one for the
+    Gram route and two for the SVD route: Gram 2.29, 2.20, 2.04; SVD 3.31, 2.99, 2.99.  When,
+    further, the Gram matrices and the eigenvectors were whole-stack arrays and the guard's norms
+    took the whole stack at once: Gram 3.07, 4.66, 2.34; SVD 4.07, 3.59, 3.59 (the SVD factors
+    then stayed alive through the inverse transform)."""
 
     @pytest.mark.parametrize(
         "shape", [(100, 100, 100), (60, 120, 60), (120, 60, 60)], ids=["square", "wide", "tall"]
     )
-    @pytest.mark.parametrize("top, bound", [(50.0, 2.5), (1e4, 3.5)], ids=["gram", "svd"])
+    @pytest.mark.parametrize("top, bound", [(50.0, 2.25), (1e4, 2.25)], ids=["gram", "svd"])
     @pytest.mark.usefixtures("blas_threads")  # without the pin there are no chunks
     def test_peak(self, rng, monkeypatch, shape, top, bound):
         p = min(shape[:2])
@@ -567,6 +641,35 @@ class TestTracedMemory:
         peak = traced_peak(lambda: tsvt(Y, 1.0))
         assert peak <= bound * Y.nbytes
 
+    @pytest.mark.parametrize("workers", [0, 1])
+    @pytest.mark.usefixtures("blas_threads")
+    def test_no_eigenvector_stack(self, rng, monkeypatch, workers):
+        # what the Gram route allocates beside the stack stays below one (h, p, p) stack of
+        # eigenvectors at every moment: it read 0.17-0.29 of one, and 1.12-1.24 while the
+        # route kept every eigenvector
+        Y = tensor_with_spectrum(
+            rng, 100, 100, 100, lambda k: np.r_[50.0, np.full(4, 2.0), np.full(95, 0.5)]
+        )
+        monkeypatch.setattr(ta, "_WORKERS", workers)
+        tsvt(Y, 1.0)  # the pool's threads start outside the trace
+        gram, seen = prox._gram_svt, []
+
+        def spy(stack, *args):
+            tracemalloc.start()
+            try:
+                out = gram(stack, *args)
+                seen.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            eigenvectors = len(stack) * min(stack.shape[1:]) ** 2 * stack.itemsize
+            seen.append(eigenvectors)
+            return out
+
+        monkeypatch.setattr(prox, "_gram_svt", spy)
+        tsvt(Y, 1.0)
+        peak, eigenvectors = seen
+        assert peak < eigenvectors
+
     @pytest.mark.parametrize("top, route", [(50.0, "_gram_svt"), (1e4, "_svd")],
                              ids=["gram", "svd"])
     def test_argument_freed_before_the_factorization(self, rng, monkeypatch, top, route):
@@ -575,9 +678,9 @@ class TestTracedMemory:
         refs, alive = [], []
         factor = getattr(prox, route)
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             alive.append(refs[0]() is not None)
-            return factor(*args)
+            return factor(*args, **kwargs)
 
         def handed_over():
             Y = tensor_with_spectrum(rng, 30, 20, 6, lambda k: np.r_[top, np.full(19, 0.5)])
