@@ -18,18 +18,13 @@ from .solver import (
 )
 from .t_algebra import (
     TSvd,
-    bcirc,
     dft3,
-    fold,
     multi_rank,
     spectral_norm,
     tnn,
     tprod,
-    tprod_oracle,
     tsvd,
-    ttranspose,
     tubal_rank,
-    unfold,
 )
 from .tensor_core import (
     TensorDims,

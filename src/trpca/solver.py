@@ -215,10 +215,10 @@ class IncoherenceReport:
     r: int
 
 
-def incoherence_report(L: np.ndarray, tol: float = t_algebra.DEFAULT_RANK_TOL) -> IncoherenceReport:
-    """Evaluate the three incoherence bounds at the detected tubal rank."""
+def incoherence_report(L: np.ndarray) -> IncoherenceReport:
+    """Evaluate the three incoherence bounds at the tubal rank (``t_algebra.tubal_rank``)."""
     L = as_tensor(L)
-    *_, U, Vh = t_algebra._sweep(L, tol, factors=True)
+    *_, U, Vh = t_algebra._sweep(L, factors=True)
     return _incoherence(U, Vh, L.shape[2])
 
 

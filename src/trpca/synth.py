@@ -259,15 +259,14 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_trials_csv(f, rows, header_comment: str | None = None) -> None:
+def write_trials_csv(f, rows, header_comment: str) -> None:
     """Write (TrialSpec, TrialOutcome) pairs as one CSV row per trial to the text stream ``f``,
-    opened with ``newline=""``.
+    opened with ``newline=""``, under the line ``# header_comment``.
 
     Each row takes the ``TRIAL_CSV_COLUMNS`` by name from the spec, its dims and the outcome.
     Wall times are not among them, so identical seeds give byte-identical files.
     """
-    if header_comment:
-        f.write(f"# {header_comment}\n")
+    f.write(f"# {header_comment}\n")
     writer = csv.writer(f)
     writer.writerow(TRIAL_CSV_COLUMNS)
     for spec, out in rows:
@@ -275,11 +274,10 @@ def write_trials_csv(f, rows, header_comment: str | None = None) -> None:
         writer.writerow([_fmt(values[c]) for c in TRIAL_CSV_COLUMNS])
 
 
-def write_phase_csv(f, grid: PhaseGrid, header_comment: str | None = None) -> None:
-    """Dense success-fraction matrix to the text stream ``f``, opened with ``newline=""``:
-    rows are rho_s, columns are r/n."""
-    if header_comment:
-        f.write(f"# {header_comment}\n")
+def write_phase_csv(f, grid: PhaseGrid, header_comment: str) -> None:
+    """Dense success-fraction matrix to the text stream ``f``, opened with ``newline=""``, under
+    the line ``# header_comment``: rows are rho_s, columns are r/n."""
+    f.write(f"# {header_comment}\n")
     writer = csv.writer(f)
     writer.writerow(["rho_s\\r_frac"] + [_fmt(v) for v in grid.r_fractions])
     for i, rho in enumerate(grid.rho_values):

@@ -1,10 +1,11 @@
-"""The t-product algebra: DFT layer, block-circulant operators, t-SVD, ranks
+"""The t-product algebra in the Fourier domain: DFT layer, t-product, t-SVD, ranks
 and the tensor nuclear / spectral norms.
 
 All tensor-tensor operations work slicewise in the Fourier domain along the
-third axis.  DFT convention: unnormalized forward transform, 1/n3 on the
-inverse (numpy's default), which makes the tensor nuclear norm equal
-``norm_* (bcirc(A)) / n3`` exactly.
+third axis; the dense block-circulant definitions that they match are kept by
+the tests (``tests/random_tensors.py``).  DFT convention: unnormalized forward
+transform, 1/n3 on the inverse (numpy's default), which makes the tensor nuclear
+norm equal ``norm_* (bcirc(A)) / n3`` exactly.
 
 For real inputs the spectrum is conjugate-symmetric across frontal slices
 (slice k pairs with slice n3-k, 0-based), so only the first ``n3 // 2 + 1``
@@ -53,12 +54,7 @@ from .tensor_core import as_tensor
 __all__ = [
     "TSvd",
     "dft3",
-    "bcirc",
-    "unfold",
-    "fold",
     "tprod",
-    "tprod_oracle",
-    "ttranspose",
     "tsvd",
     "multi_rank",
     "tubal_rank",
@@ -80,10 +76,6 @@ class TSvd:
     U: np.ndarray
     S: np.ndarray
     V: np.ndarray
-
-    def compose(self) -> np.ndarray:
-        """Reassemble U * S * V^T."""
-        return tprod(tprod(self.U, self.S), ttranspose(self.V))
 
 
 def dft3(A: np.ndarray) -> np.ndarray:
@@ -226,7 +218,7 @@ def _blockwise(fn, pieces: list) -> list:
 # large stack in contiguous chunks, the rows of a large tensor in contiguous
 # slabs) run on the calling thread and on the pool.  The pin is taken where BLAS
 # is called: ``prox.tsvt`` holds it from its route decision on, ``_svd`` around
-# its factorization, and ``tprod``, ``tprod_oracle``, ``tensor_core.norm_fro`` and
+# its factorization, and ``tprod``, ``tensor_core.norm_fro`` and
 # ``solver._incoherence`` around their products; the other pieces (the
 # transforms, the route guard's norms, the solver's update) run only FFTs and
 # ufuncs.  Per matrix and per tube the result has the same bits at any
@@ -501,36 +493,6 @@ def _child(work, out: int) -> None:
         os._exit(status)
 
 
-def bcirc(A: np.ndarray) -> np.ndarray:
-    """Block-circulant matricization of size (n1*n3) x (n2*n3).
-
-    Block row r, column c holds frontal slice (r - c) mod n3.
-    """
-    A = as_tensor(A)
-    n1, n2, n3 = A.shape
-    M = np.empty((n1 * n3, n2 * n3))
-    for r in range(n3):
-        for c in range(n3):
-            M[r * n1 : (r + 1) * n1, c * n2 : (c + 1) * n2] = A[:, :, (r - c) % n3]
-    return M
-
-
-def unfold(A: np.ndarray) -> np.ndarray:
-    """Stack frontal slices vertically into an (n1*n3) x n2 matrix."""
-    A = as_tensor(A)
-    n1, n2, n3 = A.shape
-    return np.moveaxis(A, 2, 0).reshape(n3 * n1, n2)
-
-
-def fold(M: np.ndarray, n3: int) -> np.ndarray:
-    """Inverse of :func:`unfold` for the given third extent."""
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] % n3 != 0:
-        raise ValueError(f"cannot fold shape {M.shape} with n3={n3}")
-    n1 = M.shape[0] // n3
-    return np.ascontiguousarray(np.moveaxis(M.reshape(n3, n1, M.shape[1]), 0, 2))
-
-
 def _check_tprod_shapes(A: np.ndarray, B: np.ndarray) -> None:
     if A.ndim != 3 or B.ndim != 3:
         raise ValueError("t-product requires 3-way tensors")
@@ -543,26 +505,6 @@ def tprod(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     _check_tprod_shapes(A, B)
     with _one_blas_thread():
         return _from_half_spectrum(_half_spectrum(A) @ _half_spectrum(B), A.shape[2])
-
-
-def tprod_oracle(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Reference t-product through the dense block-circulant definition.
-
-    Quadratic in n3; intended for tests only.
-    """
-    _check_tprod_shapes(A, B)
-    with _one_blas_thread():
-        return fold(bcirc(A) @ unfold(B), A.shape[2])
-
-
-def ttranspose(A: np.ndarray) -> np.ndarray:
-    """Tensor transpose: each slice transposed, slices 1..n3-1 reversed."""
-    A = np.asarray(A, dtype=np.float64)
-    At = np.transpose(A, (1, 0, 2))
-    out = np.empty_like(At)
-    out[:, :, 0] = At[:, :, 0]
-    out[:, :, 1:] = At[:, :, :0:-1]
-    return out
 
 
 def tsvd(A: np.ndarray) -> TSvd:
@@ -609,14 +551,15 @@ def _sweep(A: np.ndarray, tol: float = DEFAULT_RANK_TOL, factors: bool = False):
     return ranks, nuclear, float(sv.max()), U, Vh
 
 
-def multi_rank(A: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Per-spectral-slice matrix ranks, relative to the global largest singular value."""
-    return _sweep(A, tol)[0]
+def multi_rank(A: np.ndarray) -> np.ndarray:
+    """Per-spectral-slice matrix ranks: the singular values above ``DEFAULT_RANK_TOL`` times the
+    global largest one."""
+    return _sweep(A)[0]
 
 
-def tubal_rank(A: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
+def tubal_rank(A: np.ndarray) -> int:
     """Largest entry of the multi rank."""
-    return int(multi_rank(A, tol).max())
+    return int(multi_rank(A).max())
 
 
 def tnn(A: np.ndarray) -> float:

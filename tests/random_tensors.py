@@ -1,6 +1,8 @@
-"""Random test tensors, t-product identities, a complex-route reference and a
-full-factor ``tsvt`` reference, importable from every test module (unlike
-``conftest``, whose name ``perfbench/tests`` also uses)."""
+"""Random test tensors, the paper's dense t-product definitions (``bcirc``, ``unfold``,
+``fold``, ``tprod_oracle``, ``ttranspose``, ``compose``), the references that criterion 4 and
+the t-algebra tests check the Fourier-domain library against, t-product identities, a
+complex-route reference and a full-factor ``tsvt`` reference, importable from every test
+module (unlike ``conftest``, whose name ``perfbench/tests`` also uses)."""
 
 import os
 import subprocess
@@ -20,6 +22,61 @@ def random_tensor(rng, n1, n2, n3, scale=1.0):
     return scale * rng.normal(size=(n1, n2, n3))
 
 
+def bcirc(A: np.ndarray) -> np.ndarray:
+    """Block-circulant matricization of size (n1*n3) x (n2*n3).
+
+    Block row r, column c holds frontal slice (r - c) mod n3.
+    """
+    A = tc.as_tensor(A)
+    n1, n2, n3 = A.shape
+    M = np.empty((n1 * n3, n2 * n3))
+    for r in range(n3):
+        for c in range(n3):
+            M[r * n1 : (r + 1) * n1, c * n2 : (c + 1) * n2] = A[:, :, (r - c) % n3]
+    return M
+
+
+def unfold(A: np.ndarray) -> np.ndarray:
+    """Stack frontal slices vertically into an (n1*n3) x n2 matrix."""
+    A = tc.as_tensor(A)
+    n1, n2, n3 = A.shape
+    return np.moveaxis(A, 2, 0).reshape(n3 * n1, n2)
+
+
+def fold(M: np.ndarray, n3: int) -> np.ndarray:
+    """Inverse of :func:`unfold` for the given third extent."""
+    M = np.asarray(M, dtype=np.float64)
+    if M.ndim != 2 or M.shape[0] % n3 != 0:
+        raise ValueError(f"cannot fold shape {M.shape} with n3={n3}")
+    n1 = M.shape[0] // n3
+    return np.ascontiguousarray(np.moveaxis(M.reshape(n3, n1, M.shape[1]), 0, 2))
+
+
+def tprod_oracle(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Reference t-product through the dense block-circulant definition.
+
+    Quadratic in n3; intended for tests only.
+    """
+    ta._check_tprod_shapes(A, B)
+    with ta._one_blas_thread():
+        return fold(bcirc(A) @ unfold(B), A.shape[2])
+
+
+def ttranspose(A: np.ndarray) -> np.ndarray:
+    """Tensor transpose: each slice transposed, slices 1..n3-1 reversed."""
+    A = np.asarray(A, dtype=np.float64)
+    At = np.transpose(A, (1, 0, 2))
+    out = np.empty_like(At)
+    out[:, :, 0] = At[:, :, 0]
+    out[:, :, 1:] = At[:, :, :0:-1]
+    return out
+
+
+def compose(f: ta.TSvd) -> np.ndarray:
+    """Reassemble the t-SVD ``f`` as U * S * V^T."""
+    return ta.tprod(ta.tprod(f.U, f.S), ttranspose(f.V))
+
+
 def identity_tensor(n, n3):
     """Identity of the t-product: first frontal slice I_n, the others zero."""
     I = np.zeros((n, n, n3))
@@ -33,7 +90,7 @@ def is_orthogonal(Q, tol=1e-9):
     if n1 != n2:
         raise ValueError(f"orthogonality requires square frontal slices, got {Q.shape}")
     I = identity_tensor(n1, n3)
-    Qt = ta.ttranspose(Q)
+    Qt = ttranspose(Q)
     errors = (ta.tprod(Qt, Q) - I, ta.tprod(Q, Qt) - I)
     return max(np.linalg.norm(e) for e in errors) <= tol * np.sqrt(n1 * n3)
 

@@ -13,7 +13,7 @@ from trpca.prox import soft_threshold, tsvt
 from trpca.solver import SolverConfig, default_lambda, solve
 from trpca.synth import TrialSpec, gen_low_rank, phase_grid, run_trial
 
-from random_tensors import save_netpbm, save_tensor
+from random_tensors import bcirc, compose, save_netpbm, save_tensor, tprod_oracle
 from test_prox import scalar_prox_oracle, tnn_objective
 from test_solver import matrix_rpca_reference
 
@@ -118,16 +118,16 @@ class TestCriterion4AlgebraOracles:
             scale = max(1.0, tc.norm_fro(A) * tc.norm_fro(B))
             worst["tprod"] = max(
                 worst["tprod"],
-                tc.norm_fro(ta.tprod(A, B) - ta.tprod_oracle(A, B)) / scale,
+                tc.norm_fro(ta.tprod(A, B) - tprod_oracle(A, B)) / scale,
             )
-            M = ta.bcirc(A)
+            M = bcirc(A)
             sv = np.linalg.svd(M, compute_uv=False)
             worst["tnn"] = max(worst["tnn"], abs(ta.tnn(A) - sv.sum() / n3))
             worst["spec"] = max(worst["spec"], abs(ta.spectral_norm(A) - sv[0]))
             f = ta.tsvd(A)
             worst["recon"] = max(
                 worst["recon"],
-                tc.norm_fro(f.compose() - A) / max(tc.norm_fro(A), 1e-30),
+                tc.norm_fro(compose(f) - A) / max(tc.norm_fro(A), 1e-30),
             )
             worst["parseval"] = max(
                 worst["parseval"],

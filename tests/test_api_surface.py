@@ -1,11 +1,16 @@
 """The library's public surface, pinned: the ``__all__`` names, the public functions and
 classes of ``cli`` (which has no ``__all__``) and the options of the seven modules.  An option
 is a defaulted parameter of a public function or method, or a defaulted field of a public
-dataclass.  A name or option added or removed changes a list below, in the same change."""
+dataclass.  A name or option added or removed changes a list below, in the same change.  Every
+function option also needs a call in ``src/`` that passes it (``test_options_have_callers``)."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "trpca"
 
 MODULES = ["tensor_core", "t_algebra", "prox", "solver", "synth", "imaging", "cli"]
 
@@ -20,12 +25,7 @@ NAMES = [
     "tensor_core.load_tensor",
     "t_algebra.TSvd",
     "t_algebra.dft3",
-    "t_algebra.bcirc",
-    "t_algebra.unfold",
-    "t_algebra.fold",
     "t_algebra.tprod",
-    "t_algebra.tprod_oracle",
-    "t_algebra.ttranspose",
     "t_algebra.tsvd",
     "t_algebra.multi_rank",
     "t_algebra.tubal_rank",
@@ -72,8 +72,6 @@ CLI_NAMES = [
 ]
 
 OPTIONS = [
-    "t_algebra.multi_rank(tol)",
-    "t_algebra.tubal_rank(tol)",
     "solver.SolverConfig.lam",
     "solver.SolverConfig.rho",
     "solver.SolverConfig.mu0",
@@ -82,11 +80,8 @@ OPTIONS = [
     "solver.SolverConfig.max_iter",
     "solver.solve(config)",
     "solver.solve(callback)",
-    "solver.incoherence_report(tol)",
     "synth.run_trial(config)",
     "synth.phase_grid(config)",
-    "synth.write_trials_csv(header_comment)",
-    "synth.write_phase_csv(header_comment)",
     "imaging.ImageStack.color",
     "imaging.tensor_to_stack(color)",
     "imaging.denoise(config)",
@@ -146,7 +141,7 @@ def surface():
 def test_all_names():
     names, _ = surface()
     assert sorted(names) == sorted(NAMES)
-    assert len(NAMES) == 49
+    assert len(NAMES) == 44
 
 
 def test_cli_names():
@@ -157,4 +152,66 @@ def test_cli_names():
 def test_options():
     _, opts = surface()
     assert sorted(opts) == sorted(OPTIONS)
-    assert len(OPTIONS) == 20
+    assert len(OPTIONS) == 15
+
+
+# Function options that need no caller in src/: solve's callback is how criterion 6 and
+# test_matrix_rpca_trajectory_matches observe the iterates; main's argv is set by the console
+# entry point.
+NO_CALLER = {"solver.solve(callback)", "cli.main(argv)"}
+
+
+def _definition(trees, option):
+    """The function of ``module.function(param)`` or ``module.Class.method(param)``."""
+    path, param = option[:-1].split("(")
+    module, *names = path.split(".")
+    node = trees[module]
+    for name in names:
+        node = next(n for n in node.body if getattr(n, "name", None) == name)
+    return node, param, isinstance(node, ast.FunctionDef) and len(names) == 2
+
+
+def _passes(call, params, param, index):
+    """Whether ``call`` passes ``param`` by keyword, or by position at ``index``, other than by
+    forwarding the parameter of the same name of a function that encloses it (``params``)."""
+    value = next((k.value for k in call.keywords if k.arg == param), None)
+    if value is None and index is not None and index < len(call.args):
+        value = call.args[index]
+    forwarded = isinstance(value, ast.Name) and value.id in params
+    return value is not None and not forwarded
+
+
+def uncalled_options():
+    """The function options of ``OPTIONS``, less ``NO_CALLER``, that no call in ``src/`` passes."""
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+    calls = []  # (call, the parameter names of the functions that enclose it)
+
+    def visit(node, params):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            a = node.args
+            params = params | {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+        if isinstance(node, ast.Call):
+            calls.append((node, params))
+        for child in ast.iter_child_nodes(node):
+            visit(child, params)
+
+    for tree in trees.values():
+        visit(tree, frozenset())
+    missing = []
+    for option in sorted(set(OPTIONS) - NO_CALLER):
+        if "(" not in option:  # a dataclass field
+            continue
+        fn, param, method = _definition(trees, option)
+        positional = [p.arg for p in fn.args.posonlyargs + fn.args.args][method:]
+        index = positional.index(param) if param in positional else None
+        if not any(
+            fn.name in (getattr(c.func, "id", None), getattr(c.func, "attr", None))
+            and _passes(c, params, param, index)
+            for c, params in calls
+        ):
+            missing.append(option)
+    return missing
+
+
+def test_options_have_callers():
+    assert uncalled_options() == []

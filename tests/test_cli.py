@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -17,7 +18,7 @@ from trpca.synth import TrialSpec, gen_low_rank, gen_sparse_uniform, make_instan
 
 from random_tensors import (
     identity_tensor, nan_spectrum_tensor, overflowing_tensor, run_python, save_netpbm, save_tensor,
-    traced_peak,
+    traced_peak, ttranspose,
 )
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -147,7 +148,8 @@ class TestTsvdCommand:
 
 
 class TestTsvdReportAgreement:
-    """The one-factorization report equals the separate public functions."""
+    """The one-factorization report equals the separate public functions, which count ranks at
+    ``DEFAULT_RANK_TOL``; at another ``--tol`` its ranks and incoherence equal ``reference``."""
 
     CASES = {
         "odd_n3": (lambda: gen_low_rank((8, 6, 7), 3, 1), 1e-8),
@@ -160,6 +162,27 @@ class TestTsvdReportAgreement:
         "tol_above_one": (lambda: np.random.default_rng(7).normal(size=(5, 4, 3)), 1.5),
     }
 
+    @staticmethod
+    def reference(A, tol):
+        """Multi rank, tubal rank and incoherence at ``tol`` from the definitions, not through
+        ``t_algebra._sweep``: ranks count the singular values of every slice of the full DFT
+        above ``tol`` times the largest one, and the incoherence takes the horizontal-slice
+        norms of U and V and ``||U * V^T||_inf`` of the t-SVD factors cut at the tubal rank."""
+        s = np.linalg.svd(np.moveaxis(np.fft.fft(A, axis=2), 2, 0), compute_uv=False)
+        ranks = (s > tol * s.max()).sum(axis=1)
+        r = int(ranks.max())
+        if r == 0:
+            return ranks.tolist(), r, None
+        (n1, n2, n3), f = A.shape, t_algebra.tsvd(A)
+        U, V = f.U[:, :r], f.V[:, :r]
+        uv_inf = np.abs(t_algebra.tprod(U, ttranspose(V))).max()
+        return ranks.tolist(), r, {
+            "mu_u": n1 * n3 / r * (U**2).sum(axis=(1, 2)).max(),
+            "mu_v": n2 * n3 / r * (V**2).sum(axis=(1, 2)).max(),
+            "mu_joint": n1 * n2 * n3**2 / r * uv_inf**2,
+            "r": r,
+        }
+
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_report_matches_public_functions(self, case, tmp_path, capsys):
         make, tol = self.CASES[case]
@@ -168,21 +191,23 @@ class TestTsvdReportAgreement:
         save_tensor(path, A)
         assert main(["tsvd", str(path), "--json", "--tol", repr(tol)]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
-        assert report["multi_rank"] == t_algebra.multi_rank(A, tol).tolist()
-        assert report["tubal_rank"] == t_algebra.tubal_rank(A, tol)
+        if tol == t_algebra.DEFAULT_RANK_TOL:
+            ranks, rank = t_algebra.multi_rank(A).tolist(), t_algebra.tubal_rank(A)
+            inc = dataclasses.asdict(incoherence_report(A)) if rank else None
+        else:
+            ranks, rank, inc = self.reference(A, tol)
+        assert report["multi_rank"] == ranks
+        assert report["tubal_rank"] == rank
         assert report["tnn"] == pytest.approx(t_algebra.tnn(A), rel=1e-12, abs=0.0)
         assert report["spectral_norm"] == pytest.approx(
             t_algebra.spectral_norm(A), rel=1e-12, abs=0.0
         )
-        if report["tubal_rank"] == 0:
+        if inc is None:
             assert report["incoherence"] is None
             return
-        inc = incoherence_report(A, tol)
-        assert report["incoherence"]["r"] == inc.r
+        assert report["incoherence"]["r"] == inc["r"]
         for field in ("mu_u", "mu_v", "mu_joint"):
-            assert report["incoherence"][field] == pytest.approx(
-                getattr(inc, field), rel=1e-12, abs=0.0
-            )
+            assert report["incoherence"][field] == pytest.approx(inc[field], rel=1e-12, abs=0.0)
 
 
 class TestSolveCommand:

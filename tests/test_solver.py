@@ -18,7 +18,7 @@ from trpca.solver import (
 from trpca.synth import TrialSpec, gen_low_rank, gen_sparse_uniform, make_instance
 
 from random_tensors import (
-    basis_column, identity_tensor, nan_spectrum_tensor, random_tensor, traced_peak
+    basis_column, identity_tensor, nan_spectrum_tensor, random_tensor, traced_peak, ttranspose
 )
 
 
@@ -308,7 +308,7 @@ class TestIncoherence:
         assert rep.r == n
         # brute force: U = V = identity tensor, U^T * e_i has one unit tube
         e = basis_column(0, n, n3)
-        proj = ta.tprod(ta.ttranspose(identity_tensor(n, n3)), e)
+        proj = ta.tprod(ttranspose(identity_tensor(n, n3)), e)
         expected_mu = n * n3 / n * tc.norm_fro(proj) ** 2
         assert rep.mu_u == pytest.approx(expected_mu, rel=1e-9)
         assert rep.mu_v == pytest.approx(expected_mu, rel=1e-9)
@@ -322,7 +322,7 @@ class TestIncoherence:
         assert rep.r == r
         f = ta.tsvd(L)
         for Q, n, mu in ((f.U[:, :r], n1, rep.mu_u), (f.V[:, :r], n2, rep.mu_v)):
-            Qt = ta.ttranspose(Q)
+            Qt = ttranspose(Q)
             max_sq = max(
                 tc.norm_fro(ta.tprod(Qt, basis_column(i, n, n3))) ** 2 for i in range(n)
             )

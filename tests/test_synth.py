@@ -214,11 +214,11 @@ class TestCsvOutputs:
         )
         path = tmp_path / "g.csv"
         with open(path, "w", newline="") as f:
-            write_phase_csv(f, grid)
+            write_phase_csv(f, grid, header_comment="g")
         lines = path.read_text().strip().splitlines()
-        assert len(lines) == 2
-        assert lines[0].split(",")[1:] == ["0.10000000000000001", "0.20000000000000001"]
-        assert lines[1].split(",") == ["0.050000000000000003", "1", "0.5"]
+        assert len(lines) == 3 and lines[0] == "# g"
+        assert lines[1].split(",")[1:] == ["0.10000000000000001", "0.20000000000000001"]
+        assert lines[2].split(",") == ["0.050000000000000003", "1", "0.5"]
 
 
 class TestSeedSequenceSpec:

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from trpca import tensor_core as tc
-from trpca.t_algebra import bcirc, tprod, ttranspose
+from trpca.t_algebra import tprod
 
-from random_tensors import basis_column, identity_tensor, random_tensor, save_tensor, traced_peak
+from random_tensors import (
+    basis_column, bcirc, identity_tensor, random_tensor, save_tensor, traced_peak, ttranspose
+)
 
 
 class TestZeros:
