@@ -3,13 +3,17 @@
 ``tsvt`` is the prox of the tensor nuclear norm: per-spectral-slice singular
 value shrinkage over the half spectrum of the ``t_algebra`` helpers, which
 is complex for n3 >= 3 and real for n3 <= 2.  It takes the shrinkage of
-every slice from a batched Hermitian (for a real stack, symmetric)
-eigendecomposition of the slices' Gram matrices (Cai & Osher, "Fast singular
-value thresholding without singular value decomposition", 2013), and from
-``t_algebra._svd``, the one batched SVD of a half spectrum, when squaring
-the slices would lose accuracy (see ``GRAM_RATIO``).  The slice norms that pick
-the route, the factorization and the rebuild run in blocks of slices, in one chunk
-per core above ``t_algebra.PARALLEL_FLOOR`` (``t_algebra._blockwise``).
+every slice from the eigenpairs of the slices' Gram matrices (Cai & Osher, "Fast
+singular value thresholding without singular value decomposition", 2013), and
+from ``t_algebra._svd``, the one batched SVD of a half spectrum, when squaring
+the slices would lose accuracy (see ``GRAM_RATIO``).  Complex slices from
+``SUBSET_FLOOR`` on find only the eigenpairs above the threshold, through
+OpenBLAS's own LAPACK (``_eigh_above``: a tridiagonal reduction, a Sturm count,
+and MRRR or divide and conquer); real stacks, narrower slices and a build
+without those routines take a batched Hermitian (for a real stack, symmetric)
+eigendecomposition.  The slice norms that pick the route, the factorization and
+the rebuild run in blocks of slices, in one chunk per core above
+``t_algebra.PARALLEL_FLOOR`` (``t_algebra._blockwise``).
 ``soft_threshold`` is the prox of the elementwise l1 norm; it and the
 solver's fused update both shrink through ``_shrink``.
 
@@ -23,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .t_algebra import (
-    _blockwise, _chunks, _from_half_spectrum, _half_spectrum, _one_blas_thread, _svd
+    _blockwise, _chunks, _from_half_spectrum, _half_spectrum, _one_blas_thread, _openblas, _svd
 )
 from .tensor_core import as_tensor
 
@@ -47,16 +51,17 @@ def tsvt(Y: np.ndarray, tau: float) -> np.ndarray:
     every ||Y_k||_F, which bounds the slice's singular values, is at most tau,
     the result is zero and nothing is factored.  When every ||Y_k||_F is at
     most ``GRAM_RATIO * tau``, the slices are shrunk
-    through the eigendecomposition of their Gram matrices on the smaller
+    through the eigenpairs of their Gram matrices on the smaller
     side, with an error of about eps * (sigma_1 / tau)^2 * tau; otherwise,
-    or when that eigendecomposition fails, through the SVD.  Either way the
-    slices are rebuilt together up to the largest rank kept in any of them;
-    the shrunk singular values past a slice's own rank are zero, so this
+    or when that factorization fails, through the SVD.  Complex slices from
+    ``SUBSET_FLOOR`` on find only their eigenpairs above tau^2 and are rebuilt from them one
+    by one.  Otherwise the slices are rebuilt together up to the largest rank kept in any of
+    them; the shrunk singular values past a slice's own rank are zero, so this
     equals truncating each slice separately.  All of it goes by blocks of
     slices, in one chunk per core above the parallel layer's work floor.  Once factored, a
     block of a larger stack keeps only the singular vectors that some slice of it keeps, and
-    pads them back to full width only for its own rebuild, so no temporary is as large as the
-    stack; no bit depends on any of that.
+    the batched routes pad them back to full width only for their own rebuild, so no
+    temporary is as large as the stack; no bit depends on any of that.
     Everything after the zero check runs with OpenBLAS on one thread.  Y is freed once its
     half spectrum exists, if the caller holds no other reference, so a caller that hands
     over its only one has that memory back before the factorization.  A spectrum that is not
@@ -78,7 +83,7 @@ def tsvt(Y: np.ndarray, tau: float) -> np.ndarray:
             try:
                 return _from_half_spectrum(_gram_svt(stack, tau, pieces), shape[2])
             except np.linalg.LinAlgError:
-                pass  # eigh did not converge; the SVD, with its own retry, decides
+                pass  # the eigenpairs were not found; the SVD, with its own retry, decides
         h, n1, n2 = stack.shape
         k = min(n1, n2)
 
@@ -101,21 +106,24 @@ def tsvt(Y: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _gram_svt(stack: np.ndarray, tau: float, pieces: list) -> np.ndarray:
-    """SVT of every slice from a batched eigh of the Gram matrices M^H M, written over the stack.
+    """SVT of every slice from the eigenpairs of the Gram matrices M^H M, written over the stack.
 
     M is the slice, or its conjugate transpose for a wide slice, so the Gram
     matrix is on the smaller side.  With M = U S V^H, the shrunk slice
-    U (S - tau)_+ V^H equals (M V) diag((1 - tau/s)_+) V^H, which each block of slices
-    is rebuilt from, a wide block conjugate-transposed back into the stack.  Each block keeps
-    only the columns of V that a slice of it keeps (``_kept``) once its eigh has run.
+    U (S - tau)_+ V^H equals (M V) diag((1 - tau/s)_+) V^H.  A complex stack of slices at
+    least ``SUBSET_FLOOR`` wide goes to ``_subset_svt``, which finds only the kept eigenpairs.
+    Otherwise each block's Gram matrices go to one batched eigh, the block keeps only the
+    columns of V that a slice of it keeps (``_kept``), and is rebuilt from them, a wide block
+    conjugate-transposed back into the stack.  Either way nothing is written over the stack
+    until every block is factored, so a failed factorization leaves it to the SVD route.
     """
     h, wide, p = stack.shape[0], stack.shape[1] < stack.shape[2], min(stack.shape[1:])
+    blas = _openblas()
+    if stack.dtype == np.complex128 and p >= SUBSET_FLOOR and blas and blas[2]:
+        return _subset_svt(stack, tau, pieces, blas[2])
 
     def factor(b):
-        S, H = stack[b], stack[b].conj().swapaxes(1, 2)
-        G = np.matmul(S, H) if wide else np.matmul(H, S)
-        del H  # one block's conjugate fewer while eigh runs
-        lam, V = np.linalg.eigh(G)
+        lam, V = np.linalg.eigh(_gram(stack[b], wide))
         s = np.sqrt(np.maximum(lam, 0.0))
         # eigenvalues ascend, so the kept ones are the last columns of V
         first = p - int(np.count_nonzero(s > tau, axis=1).max())
@@ -136,6 +144,126 @@ def _gram_svt(stack: np.ndarray, tau: float, pieces: list) -> np.ndarray:
 
     _blockwise(rebuild, pieces)
     return stack
+
+
+def _gram(S: np.ndarray, wide: bool) -> np.ndarray:
+    """The Gram matrices M^H M of a block of slices, M the slice or, for a wide one, its conjugate
+    transpose; the block's conjugate is freed before the factorization runs."""
+    H = S.conj().swapaxes(1, 2)
+    return np.matmul(S, H) if wide else np.matmul(H, S)
+
+
+# The subset kernel of the Gram route (``_eigh_above``).  zhetrd reduces a complex p x p Gram
+# matrix to a real tridiagonal T, a query of zstemr counts T's eigenvalues above tau^2 by a Sturm
+# sequence, and zunmtr maps only the kept eigenvectors of T back.  Up to SUBSET_SHARE * p of them,
+# zstemr finds just those by MRRR (Dhillon & Parlett, LAA 2004); above it, zstedc finds all of T's
+# by divide and conquer, as eigh (zheevd) does after the same zhetrd.  The whole kernel per slice
+# on one thread, by MRRR / by divide and conquer, as a share of eigh's time, keeping 5, 10, 20, 30
+# and 100% of p (medians of 15; 2-vCPU Xeon, OpenBLAS 0.3.31): p = 24 0.36/0.83, 0.42/0.84,
+# 0.56/0.85, 0.67/0.87, 1.37/0.96; p = 40 0.49/0.74, 0.60/0.79, 0.79/0.82, 1.14/0.92, 1.99/1.00;
+# p = 64 0.46/0.69, 0.53/0.70, 0.71/0.73, 0.90/0.78, 1.90/0.94; p = 100 0.54/0.76, 0.62/0.77,
+# 0.78/0.77, 0.91/0.78, 1.86/0.91; p = 200 0.49/0.62, 0.48/0.54, 0.52/0.43, 0.81/0.64, 1.53/0.78.
+# So MRRR pays up to about 20% of p.  Slices narrower than SUBSET_FLOOR, and real stacks, stay on
+# the batched eigh, since the kernel goes slice by slice: per ADMM iteration of a solve of an
+# n x n x n3 Table-1 style instance, the kernel's time over eigh's (medians of 8-12 solves a mode,
+# alternating in one process) read 1.21 at 12x12x4, 1.03 and 1.53 at n = 16, 0.70-1.04 at n = 24,
+# 0.82 at n = 28, 0.88-0.91 at n = 32 and 0.91-1.00 at 40x40x20.
+SUBSET_FLOOR = 32
+SUBSET_SHARE = 0.2
+
+
+def _subset_svt(stack: np.ndarray, tau: float, pieces: list, lapack: tuple) -> np.ndarray:
+    """``_gram_svt`` by the subset kernel: each slice keeps only the eigenpairs of its Gram matrix
+    above tau^2 (``_eigh_above``) and is rebuilt from them on its own, so no bit depends on the
+    blocks."""
+    wide = stack.shape[1] < stack.shape[2]
+
+    def factor(b):
+        return b.start, _eigh_above(_gram(stack[b], wide), tau * tau, lapack)
+
+    kept = dict(_blockwise(factor, pieces))
+
+    def rebuild(b):
+        for M, (lam, Vh) in zip(stack[b], kept.pop(b.start)):
+            w = 1.0 - tau / np.maximum(np.sqrt(np.maximum(lam, 0.0)), tau)
+            if wide:  # M = U S W^H with U = Vh^H, so the shrunk slice is U diag(w) U^H M
+                np.matmul(Vh.conj().T, w[:, None] * (Vh @ M), out=M)
+            else:  # M = U S W^H with W = Vh^H, so the shrunk slice is M W diag(w) W^H
+                np.matmul((M @ Vh.conj().T) * w, Vh, out=M)
+
+    _blockwise(rebuild, pieces)
+    return stack
+
+
+def _eigh_above(G: np.ndarray, low: float, lapack: tuple) -> list:
+    """For each Hermitian matrix of the C-ordered (k, p, p) stack G, which it overwrites: its m
+    eigenvalues above ``low``, ascending, and an (m, p) array whose rows are the conjugates of
+    their eigenvectors.  ``lapack`` holds zhetrd, zstemr, zstedc and zunmtr
+    (``t_algebra._tridiagonal_routines``); a nonzero INFO raises ``np.linalg.LinAlgError``.
+
+    LAPACK reads a C-ordered matrix as its transpose, here the conjugate of G, whose eigenvectors
+    are the conjugates of G's; so the m columns that zunmtr writes, read in C order, are the rows
+    wanted.  Its 'U' triangle is the lower triangle of G, the one that eigh reads.  zhetrd's and
+    zunmtr's optimal workspace is p times a block size of 32; zstemr's is 18 p reals and 10 p
+    integers, and zstedc's 1 + 4 p + 2 p^2 reals and 3 + 5 p integers."""
+    if G.dtype != np.complex128 or not G.flags.c_contiguous or G.shape[1] != G.shape[2]:
+        raise ValueError(f"expected a C-ordered complex stack of square matrices, got {G.shape}")
+    hetrd, stemr, stedc, unmtr = lapack
+    p = G.shape[1]
+    lrwork = max(18 * p, 1 + 4 * p + 2 * p * p)
+    # LAPACK gets addresses in these three arrays.  ints: N, LWORK, INFO, M, IL, IU, NZC, TRYRAC
+    # (false: absolute accuracy), LRWORK, LIWORK, IWORK (10 p) and ISUPPZ (2 p).  reals: VL and VU
+    # of the count, the eigenvalues W (p), D (p), E (p) and RWORK.  cplx: the count that the
+    # query returns, TAU of the reflectors (p) and WORK (64 p).
+    ints = np.zeros(10 + 12 * p, np.int64)
+    ints[:10] = p, 64 * p, 0, 0, 0, p, 0, 0, lrwork, 10 * p
+    reals = np.empty(2 + 3 * p + lrwork)
+    reals[:2] = low, np.finfo(np.float64).max
+    cplx = np.empty(1 + 65 * p, complex)
+    n, lwork, info, m, il, iu, nzc, tryrac, lr, li, I = (
+        ints.ctypes.data + 8 * k for k in range(11)
+    )
+    S = I + 8 * 10 * p
+    vl, vu, W, D, E, R = (reals.ctypes.data + 8 * k for k in (0, 1, 2, 2 + p, 2 + 2 * p, 2 + 3 * p))
+    query, T, WORK = (cplx.ctypes.data + 16 * k for k in (0, 1, 1 + p))
+
+    def checked(name):
+        if ints[2]:
+            raise np.linalg.LinAlgError(f"{name} failed with INFO = {ints[2]}")
+
+    def mrrr(range_, z):
+        stemr(b"V", range_, n, D, E, vl, vu, il, iu, m, W, z, n, nzc, S, tryrac, R, lr, I, li,
+              info, 1, 1)
+        checked("zstemr")
+
+    pairs = []
+    for g in G:
+        a = g.ctypes.data
+        hetrd(b"U", n, a, n, D, E, T, WORK, lwork, info, 1)
+        checked("zhetrd")
+        ints[6] = -1  # NZC = -1: the Sturm count of (VL, VU] into cplx[0]
+        mrrr(b"V", query)
+        count = int(cplx[0].real)
+        if count == 0:  # zstemr is not called for no eigenpair: that once ended the process
+            pairs.append((np.empty(0), np.empty((0, p), complex)))
+            continue
+        if count <= SUBSET_SHARE * p:
+            Z = np.empty((count, p), complex)
+            ints[4], ints[6] = p - count + 1, count  # IL: the count largest
+            mrrr(b"I", Z.ctypes.data)
+            if ints[3] != count:
+                raise np.linalg.LinAlgError(f"zstemr found {ints[3]} eigenpairs, not {count}")
+            lam = reals[2 : 2 + count].copy()
+        else:
+            Z = np.empty((p, p), complex)
+            stedc(b"I", n, D, E, Z.ctypes.data, n, WORK, lwork, R, lr, I, li, info, 1)
+            checked("zstedc")
+            Z, lam = Z[p - count :].copy(), reals[2 + 2 * p - count : 2 + 2 * p].copy()
+            ints[3] = count
+        unmtr(b"L", b"U", b"N", n, m, a, n, T, Z.ctypes.data, n, WORK, lwork, info, 1, 1, 1)
+        checked("zunmtr")
+        pairs.append((lam, Z))
+    return pairs
 
 
 def _kept(F: np.ndarray, index: tuple, h: int) -> np.ndarray:

@@ -108,12 +108,12 @@ def solve(X: np.ndarray, config: SolverConfig | None = None, callback=None) -> T
     and the feasibility gap are all <= eps.  Without a set mu0, mu_1 is Lin, Chen & Ma's
     1.25 / ||X||_2 (arXiv 1009.5055), with ||X||_2 the tensor spectral norm, capped at mu_max;
     at X = 0 it is mu_max, and any start converges at iteration 1.  It costs one
-    singular-value sweep, about one iteration's factorization, and took a 100^3 Table-1 row
-    to 33 iterations, against 50 from the paper's 1e-3.  Hitting max_iter returns a result
-    flagged converged=False rather than raising.  A residual that is not finite (the iterates
-    overflowed) raises ``np.linalg.LinAlgError`` naming the iteration, as does a spectrum or
-    singular values that are not finite (``t_algebra._svd``, also in the spectral norm), so no
-    NaN reads as converged.
+    singular-value sweep, at 100^3 about two iterations' factorizations (60-99 ms against
+    40-55 ms), and took a 100^3 Table-1 row to 33 iterations, against 50 from the paper's
+    1e-3.  Hitting max_iter returns a result flagged converged=False rather than raising.  A
+    residual that is not finite (the iterates overflowed) raises ``np.linalg.LinAlgError``
+    naming the iteration, as does a spectrum or singular values that are not finite
+    (``t_algebra._svd``, also in the spectral norm), so no NaN reads as converged.
 
     Steps 2 and 3, the three residuals and the next step 1's argument run as one pass over
     cache-sized blocks of rows of the tensor (``_update``), in one row slab per core from the

@@ -18,7 +18,9 @@ conjugate, so the stack is float64 and every consumer runs real LAPACK and
 BLAS kernels; at n3 = 1, where the DFT is the identity, neither transform runs.
 The t-product, the t-SVD and ``prox.tsvt`` go through them (``tsvt`` uses
 ``_svd`` only where its Gram route would lose accuracy, and keeps of each
-block's factors only the singular vectors that it uses); ``_sweep`` reads one
+block's factors only the singular vectors that it uses; its Gram route calls
+LAPACK routines of numpy's OpenBLAS that numpy does not wrap, which
+``_openblas`` looks up on first use); ``_sweep`` reads one
 ``_svd`` call out as all the ranks, norms and rank-r factors that an
 inspection of a tensor needs.
 
@@ -216,8 +218,10 @@ def _blockwise(fn, pieces: list) -> list:
 # release the GIL, so every batched BLAS or LAPACK call runs with OpenBLAS
 # pinned to one thread, and the pieces of one stack or tensor (the slices of a
 # large stack in contiguous chunks, the rows of a large tensor in contiguous
-# slabs) run on the calling thread and on the pool.  The pin is taken where BLAS
-# is called: ``prox.tsvt`` holds it from its route decision on, ``_svd`` around
+# slabs) run on the calling thread and on the pool; the LAPACK routines that
+# ``prox`` calls through ctypes release the GIL too.  The pin is taken where BLAS
+# is called: ``prox.tsvt`` holds it from its route decision on (its eigh or its
+# subset kernel's LAPACK calls, and the rebuild), ``_svd`` around
 # its factorization, and ``tprod``, ``tensor_core.norm_fro`` and
 # ``solver._incoherence`` around their products; the other pieces (the
 # transforms, the route guard's norms, the solver's update) run only FFTs and
@@ -279,9 +283,11 @@ def _above_floor(stack: np.ndarray) -> bool:
 
 
 def _openblas():
-    """OpenBLAS's thread-count getter and setter in numpy's bundled library, or ().
+    """OpenBLAS's thread-count getter and setter in numpy's bundled library and the LAPACK
+    routines of ``prox``'s subset kernel (``_tridiagonal_routines``), or ().  Looked up on first
+    use, not on import.
 
-    Resolving it twice finds the same pair, so callers need not hold the lock.
+    Resolving it twice finds the same triple, so callers need not hold the lock.
     """
     global _blas
     if _blas is None:
@@ -295,10 +301,25 @@ def _openblas():
                 continue
             get.argtypes, get.restype = [], ctypes.c_int
             set_.argtypes, set_.restype = [ctypes.c_int], None
-            found = (get, set_)
+            found = (get, set_, _tridiagonal_routines(lib))
             break
         _blas = found
     return _blas
+
+
+def _tridiagonal_routines(lib):
+    """zhetrd, zstemr, zstedc and zunmtr of ``lib``, or None.  The library is ILP64, so every
+    integer and LOGICAL argument is an int64; every argument goes by address, and the hidden
+    lengths of the Fortran strings that follow them as size_t."""
+    names = ("zhetrd", "zstemr", "zstedc", "zunmtr")
+    try:
+        routines = tuple(getattr(lib, f"scipy_{name}_64_") for name in names)
+    except AttributeError:
+        return None
+    for f, arguments, strings in zip(routines, (10, 21, 13, 13), (1, 2, 1, 3)):
+        f.argtypes = [ctypes.c_void_p] * arguments + [ctypes.c_size_t] * strings
+        f.restype = None
+    return routines
 
 
 @contextmanager

@@ -180,7 +180,8 @@ def on_complex_route(fn, *args):
 def full_factor_tsvt(Y, tau):
     """``prox.tsvt`` as it was while both routes held every singular vector of the stack: each
     block's factors written into outputs as large as the stack (a stack of one block keeps its
-    own), and every block rebuilt from them up to the largest rank kept in any slice.  The
+    own), and every block rebuilt from them up to the largest rank kept in any slice; where the
+    Gram route takes the subset kernel, its eigenpairs of the whole stack from one call.  The
     reference that the routes keeping only the vectors they use must match bit for bit."""
     shape, stack = Y.shape, ta._half_spectrum(Y)
     pieces = ta._chunks(stack)
@@ -203,6 +204,14 @@ def full_factor_tsvt(Y, tau):
 
 def _full_factor_gram_svt(stack, tau, pieces):
     wide, p = stack.shape[1] < stack.shape[2], min(stack.shape[1:])
+    blas = ta._openblas()
+    if stack.dtype == np.complex128 and p >= prox.SUBSET_FLOOR and blas and blas[2]:
+        H = stack.conj().swapaxes(1, 2)
+        pairs = prox._eigh_above(stack @ H if wide else H @ stack, tau * tau, blas[2])
+        for M, (lam, Vh) in zip(stack, pairs):  # each slice rebuilt from its own eigenpairs
+            w = 1.0 - tau / np.maximum(np.sqrt(np.maximum(lam, 0.0)), tau)
+            M[...] = Vh.conj().T @ (w[:, None] * (Vh @ M)) if wide else ((M @ Vh.conj().T) * w) @ Vh
+        return stack
 
     def factor(b):
         S, H = stack[b], stack[b].conj().swapaxes(1, 2)

@@ -1,7 +1,9 @@
+import ctypes
 import sys
 import threading
 import time
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -334,15 +336,25 @@ class TestParallelLayer:
 
     @staticmethod
     def factorizations(monkeypatch):
-        """(name, leading extent) of each batched factorization, in any thread."""
+        """(name, leading extent) of each batched factorization, in any thread.  The Gram
+        route's subset kernel, ``prox._eigh_above``, counts as "eigh", its other factorization."""
         calls = []
-        for name in ("svd", "eigh"):
-            def counting(a, *args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+        for owner, attr, name in [
+            (np.linalg, "svd", "svd"), (np.linalg, "eigh", "eigh"), (prox, "_eigh_above", "eigh")
+        ]:
+            def counting(a, *args, _f=getattr(owner, attr), _name=name, **kwargs):
                 calls.append((_name, a.shape[0]))
                 return _f(a, *args, **kwargs)
 
-            monkeypatch.setattr(np.linalg, name, counting)
+            monkeypatch.setattr(owner, attr, counting)
         return calls
+
+    @staticmethod
+    def gram_factorizations(monkeypatch, wrap):
+        """Patch both factorizations of the Gram route, ``np.linalg.eigh`` and the subset kernel
+        ``prox._eigh_above``, each with ``wrap(itself)``."""
+        monkeypatch.setattr(np.linalg, "eigh", wrap(np.linalg.eigh))
+        monkeypatch.setattr(prox, "_eigh_above", wrap(prox._eigh_above))
 
     @pytest.mark.parametrize(
         "shape", [(80, 50, 7), (80, 50, 8), (50, 80, 7), (50, 80, 8)],
@@ -378,16 +390,18 @@ class TestParallelLayer:
         monkeypatch.setattr(ta, "_WORKERS", 1)
         expected = tsvt(Y, tau)
         before = blas_threads()
-        eigh = np.linalg.eigh
         both = threading.Barrier(2, timeout=60)
 
-        def eigh_failing_off_main(*args, **kwargs):
-            both.wait()  # each chunk on its own thread, so one of them on the pool's
-            if threading.current_thread() is not threading.main_thread():
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return eigh(*args, **kwargs)
+        def failing_off_main(factor):
+            def call(*args, **kwargs):
+                both.wait()  # each chunk on its own thread, so one of them on the pool's
+                if threading.current_thread() is not threading.main_thread():
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+                return factor(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", eigh_failing_off_main)
+            return call
+
+        self.gram_factorizations(monkeypatch, failing_off_main)
         out = tsvt(Y, tau)
         assert blas_threads() == before
         assert np.allclose(out, expected, rtol=0, atol=1e-12)
@@ -439,27 +453,33 @@ class TestParallelLayer:
         tau = np.linalg.norm(ta._half_spectrum(Y), axis=(1, 2)).max() / 10  # the Gram route
         monkeypatch.setattr(ta, "_WORKERS", 1)
         monkeypatch.setattr(ta, "_BLOCK", 1)  # five one-slice blocks in chunks of two and three
-        eigh = np.linalg.eigh
 
-        def failing(*args, **kwargs):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        def failing(factor):
+            def call(*args, **kwargs):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", failing)
-        expected = tsvt(Y, tau)  # the SVD route
+            return call
+
+        with monkeypatch.context() as mp:
+            self.gram_factorizations(mp, failing)
+            expected = tsvt(Y, tau)  # the SVD route
         before = blas_threads()
         both, seen, pool_blocks = threading.Barrier(2, timeout=60), set(), []
 
-        def eigh_failing_in_second_pool_block(a, *args, **kwargs):
-            if threading.get_ident() not in seen:  # each chunk on its own thread
-                seen.add(threading.get_ident())
-                both.wait()
-            if threading.current_thread() is not threading.main_thread():
-                pool_blocks.append(a.shape[0])
-                if len(pool_blocks) == 2:
-                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return eigh(a, *args, **kwargs)
+        def failing_in_second_pool_block(factor):
+            def call(a, *args, **kwargs):
+                if threading.get_ident() not in seen:  # each chunk on its own thread
+                    seen.add(threading.get_ident())
+                    both.wait()
+                if threading.current_thread() is not threading.main_thread():
+                    pool_blocks.append(a.shape[0])
+                    if len(pool_blocks) == 2:
+                        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+                return factor(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", eigh_failing_in_second_pool_block)
+            return call
+
+        self.gram_factorizations(monkeypatch, failing_in_second_pool_block)
         assert tsvt(Y, tau).tobytes() == expected.tobytes()
         assert pool_blocks == [1, 1] and len(seen) == 2
         assert blas_threads() == before and ta._pin_depth == 0
@@ -468,6 +488,8 @@ class TestParallelLayer:
         Y = random_tensor(rng, 80, 50, 8)
         tau = np.linalg.norm(ta._half_spectrum(Y), axis=(1, 2)).max() / 10
         monkeypatch.setattr(ta, "_WORKERS", 1)
+        # the subset kernel needs OpenBLAS's own LAPACK, so the pinned side takes eigh too
+        monkeypatch.setattr(ta, "_blas", ta._openblas()[:2] + (None,))
         pinned = tsvt(Y, tau)
         # without the setter the stack goes to LAPACK in one call
         monkeypatch.setattr(ta, "_blas", ())
@@ -571,6 +593,175 @@ class TestKeptVectors:
         assert np.linalg.matrix_rank(stack[0]) == 3 and not stack[1].any()
 
 
+def eigh_route(Y, tau):
+    """``tsvt`` with the Gram route on the batched eigh at every slice width."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(prox, "SUBSET_FLOOR", np.inf)
+        return tsvt(Y, tau)
+
+
+class LapackSpy:
+    """Wraps the subset kernel's LAPACK routines: ``calls`` lists their names in call order, and
+    a routine named in ``fail`` has its INFO set to that value once it returns."""
+
+    INFO = {"zhetrd": 9, "zstemr": 20, "zstedc": 12, "zunmtr": 12}  # INFO's argument index
+
+    def __init__(self, monkeypatch):
+        get, set_, routines = ta._openblas()
+        self.calls, self.fail = [], {}
+
+        def spy(name, routine):
+            def call(*args):
+                routine(*args)
+                self.calls.append(name)
+                if name in self.fail:
+                    ctypes.c_int64.from_address(args[self.INFO[name]]).value = self.fail[name]
+
+            return call
+
+        wrapped = tuple(spy(name, routine) for name, routine in zip(self.INFO, routines))
+        monkeypatch.setattr(ta, "_blas", (get, set_, wrapped))
+
+
+@pytest.fixture
+def lapack(monkeypatch, blas_threads):
+    """A ``LapackSpy``, skipping the test without the subset kernel's routines."""
+    if not ta._openblas()[2]:
+        pytest.skip("numpy's bundled OpenBLAS lacks zhetrd, zstemr, zstedc or zunmtr")
+    return LapackSpy(monkeypatch)
+
+
+def kept_widths(rng, shape, widths, top=50.0):
+    """A tensor whose spectral slice k has ``widths[k]`` singular values above tau = 1, the first
+    of them ``top`` on slice 0 and 2.0 otherwise, and the rest 0.5."""
+    p = min(shape[:2])
+
+    def svals(k):
+        s = np.r_[np.full(widths[k], 2.0), np.full(p - widths[k], 0.5)]
+        s[0] = top if k == 0 and widths[k] else s[0]
+        return s
+
+    return tensor_with_spectrum(rng, *shape, svals)
+
+
+class TestSubsetKernel:
+    """From ``SUBSET_FLOOR`` on, the Gram route of a complex stack finds only the eigenpairs of
+    each slice's Gram matrix above tau^2 (``prox._eigh_above``): by MRRR up to
+    ``SUBSET_SHARE * p`` of them, by divide and conquer above it, none at a count of zero."""
+
+    # largest |difference| from the eigh route over 160 random cases of these shapes and
+    # spectra: 4.2e-14 tau; the bound leaves a factor of about 5
+    BOUND = 2e-13
+
+    @pytest.mark.parametrize(
+        "shape", [(32, 32, 5), (40, 64, 6), (64, 40, 7), (100, 100, 3)],
+        ids=["floor", "wide", "tall", "square"],
+    )
+    @pytest.mark.parametrize("spectrum", ["spread", "clustered_at_tau", "clustered_kept"])
+    def test_matches_eigh_route(self, rng, lapack, shape, spectrum):
+        p = min(shape[:2])
+        spectra = {
+            "spread": lambda k: np.r_[rng.uniform(1, 50, 3), rng.uniform(0, 0.99, p - 3)],
+            # about half of the slice just above tau = 1, so divide and conquer
+            "clustered_at_tau": lambda k: np.r_[50.0, 1 + 1e-6 * rng.uniform(-1, 1, p - 1)],
+            # 1, p/8 + 1 and p/4 + 1 kept on slices 0, 1 and 2, within 1e-9 of each other
+            "clustered_kept": lambda k: np.r_[
+                2.0 + 1e-9 * rng.uniform(-1, 1, 1 + k * p // 8), np.full(p - 1 - k * p // 8, 0.5)
+            ],
+        }
+        Y = tensor_with_spectrum(rng, *shape, spectra[spectrum])
+        out = tsvt(Y, 1.0)
+        assert lapack.calls.count("zhetrd") == shape[2] // 2 + 1
+        assert np.abs(out - eigh_route(Y, 1.0)).max() <= self.BOUND
+
+    @pytest.mark.parametrize("widths", [[3, 0, 0], [0, 0, 0]], ids=["one", "all"])
+    def test_nothing_above_tau_gives_zeros(self, rng, monkeypatch, lapack, widths):
+        # a slice whose singular values are all 0.5 passes the zero guard at tau = 1; zstemr
+        # asked for its eigenpairs above tau^2 ended the process (SIGSEGV), so it is only counted
+        Y = kept_widths(rng, (40, 40, 5), widths)
+        stacks, rebuilt = [], prox._from_half_spectrum
+
+        def spy(stack, n3):
+            stacks.append(stack.copy())
+            return rebuilt(stack, n3)
+
+        monkeypatch.setattr(prox, "_from_half_spectrum", spy)
+        out = tsvt(Y, 1.0)
+        counted = ["zhetrd", "zstemr"]
+        found = ["zstemr", "zunmtr"] if widths[0] else []
+        assert lapack.calls == counted + found + counted * 2
+        (stack,) = stacks
+        assert np.linalg.matrix_rank(stack[0]) == widths[0] and not stack[1:].any()
+        assert np.abs(out - eigh_route(Y, 1.0)).max() <= self.BOUND
+        if not widths[0]:
+            assert np.array_equal(out, np.zeros(Y.shape))
+
+    def test_count_above_share_takes_divide_and_conquer(self, rng, lapack):
+        # p = 50: 10 kept is the share, 11 is above it
+        assert prox.SUBSET_SHARE * 50 == 10
+        Y = kept_widths(rng, (50, 50, 3), [10, 11])
+        out = tsvt(Y, 1.0)
+        assert lapack.calls == [
+            "zhetrd", "zstemr", "zstemr", "zunmtr", "zhetrd", "zstemr", "zstedc", "zunmtr"
+        ]
+        assert np.abs(out - eigh_route(Y, 1.0)).max() <= self.BOUND
+
+    @pytest.mark.parametrize("name", list(LapackSpy.INFO))
+    def test_failed_call_falls_back_to_svd(self, rng, monkeypatch, lapack, blas_threads, name):
+        # two chunks on two threads; slices 1 and 4 go to zstedc, the others to zstemr or none
+        Y = kept_widths(rng, (80, 50, 8), [3, 30, 0, 3, 30])
+        monkeypatch.setattr(ta, "_WORKERS", 1)
+        with monkeypatch.context() as mp:
+            mp.setattr(prox, "GRAM_RATIO", 0.0)
+            expected = tsvt(Y, 1.0)  # the SVD route
+        lapack.fail[name] = 1
+        calls = TestParallelLayer.factorizations(monkeypatch)
+        before = blas_threads()
+        # bit for bit: nothing is written over the stack before every block is factored
+        assert tsvt(Y, 1.0).tobytes() == expected.tobytes()
+        assert name in lapack.calls
+        assert sorted(calls) == [("eigh", 2), ("eigh", 3), ("svd", 2), ("svd", 3)]
+        assert blas_threads() == before and ta._pin_depth == 0
+
+    @pytest.mark.parametrize("case", ["real", "below_floor", "absent"])
+    def test_eigh_where_the_kernel_does_not_apply(self, rng, monkeypatch, lapack, case):
+        n3 = 2 if case == "real" else 5
+        p = prox.SUBSET_FLOOR - 1 if case == "below_floor" else 50
+        Y = kept_widths(rng, (p + 10, p, n3), [3, 2, 1])
+        if case == "absent":
+            get, set_, _ = ta._openblas()
+            monkeypatch.setattr(ta, "_blas", (get, set_, None))
+            assert ta._tridiagonal_routines(types.SimpleNamespace()) is None
+        calls = TestParallelLayer.factorizations(monkeypatch)
+        subset = []
+        kernel = prox._eigh_above
+        monkeypatch.setattr(prox, "_eigh_above", lambda *args: subset.append(1) or kernel(*args))
+        assert tsvt(Y, 1.0).tobytes() == eigh_route(Y, 1.0).tobytes()
+        assert calls and all(name == "eigh" for name, _ in calls) and not subset
+        assert lapack.calls == []
+
+    def test_rejects_a_stack_it_cannot_pass_by_address(self, lapack):
+        G = np.eye(40, dtype=complex)[None]
+        for bad in (G.real.copy(), G.transpose(0, 2, 1), np.ascontiguousarray(G[:, :, :39])):
+            with pytest.raises(ValueError, match="C-ordered"):
+                prox._eigh_above(bad, 1.0, ta._openblas()[2])
+        assert lapack.calls == []
+
+    @pytest.mark.parametrize("shape", [(80, 50, 8), (50, 80, 8)], ids=["tall", "wide"])
+    def test_blocks_and_workers_change_no_bit(self, rng, monkeypatch, lapack, shape):
+        Y = kept_widths(rng, shape, [3, 30, 0, 12, 1])
+        stack = ta._half_spectrum(Y)
+        assert ta._above_floor(stack)
+        default, outs = ta._BLOCK, []
+        for workers, block in [(0, stack.size), (0, default), (1, default), (2, 1), (1, 1)]:
+            monkeypatch.setattr(ta, "_WORKERS", workers)
+            monkeypatch.setattr(ta, "_BLOCK", block)
+            lapack.calls.clear()
+            outs.append(tsvt(Y, 1.0).tobytes())
+            assert sorted(lapack.calls).count("zstedc") == 2
+        assert outs == [outs[0]] * len(outs)
+
+
 class TestBlasPin:
     """``tsvt`` and ``_svd`` pin OpenBLAS to one thread where they call BLAS, so a stack or
     tensor in one piece, which ``_blockwise`` runs as a plain loop, is pinned too, and so are
@@ -589,7 +780,9 @@ class TestBlasPin:
     ):
         monkeypatch.setattr(ta, "_WORKERS", workers)
         seen = []
-        for owner, name in [(np.linalg, "eigh"), (np.linalg, "svd"), (np, "matmul")]:
+        for owner, name in [
+            (np.linalg, "eigh"), (prox, "_eigh_above"), (np.linalg, "svd"), (np, "matmul")
+        ]:
 
             def spy(*args, _f=getattr(owner, name), _name=name, **kwargs):
                 seen.append((_name, blas_threads(), threading.get_ident()))
@@ -608,11 +801,13 @@ class TestBlasPin:
             after = blas_threads()
         finally:
             set_threads(before)
-        assert {name for name, _, _ in seen} == {"eigh", "svd", "matmul"}
+        # the Gram route's factorization: the subset kernel from its floor on, eigh below it
+        gram = "_eigh_above" if min(shape[:2]) >= prox.SUBSET_FLOOR else "eigh"
+        assert {name for name, _, _ in seen} == {gram, "svd", "matmul"}
         assert [count for _, count, _ in seen] == [1] * len(seen)
         assert after == 2 and ta._pin_depth == 0
         on_pool = {name for name, _, thread in seen if thread != threading.get_ident()}
-        assert on_pool == ({"eigh", "svd", "matmul"} if workers else set())
+        assert on_pool == ({gram, "svd", "matmul"} if workers else set())
 
 
 class TestTracedMemory:
