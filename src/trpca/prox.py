@@ -11,9 +11,12 @@ the slices would lose accuracy (see ``GRAM_RATIO``).  Complex slices from
 OpenBLAS's own LAPACK (``_eigh_above``: a tridiagonal reduction, a Sturm count,
 and MRRR or divide and conquer); real stacks, narrower slices and a build
 without those routines take a batched Hermitian (for a real stack, symmetric)
-eigendecomposition.  The slice norms that pick the route, the factorization and
-the rebuild run in blocks of slices, in one chunk per core above
-``t_algebra.PARALLEL_FLOOR`` (``t_algebra._blockwise``).
+eigendecomposition.  Each of the three factorizations hands its one rebuild, per
+slice, only the vectors that the slice keeps; each run of consecutive slices that
+keep the same count is shrunk in place in one batched product, so each slice's
+result depends on that slice alone.  The slice norms that pick the route, the
+factorization and the rebuild run in blocks of slices, in one chunk per core
+above ``t_algebra.PARALLEL_FLOOR`` (``t_algebra._blockwise``).
 ``soft_threshold`` is the prox of the elementwise l1 norm; it and the
 solver's fused update both shrink through ``_shrink``.
 
@@ -52,16 +55,14 @@ def tsvt(Y: np.ndarray, tau: float) -> np.ndarray:
     the result is zero and nothing is factored.  When every ||Y_k||_F is at
     most ``GRAM_RATIO * tau``, the slices are shrunk
     through the eigenpairs of their Gram matrices on the smaller
-    side, with an error of about eps * (sigma_1 / tau)^2 * tau; otherwise,
-    or when that factorization fails, through the SVD.  Complex slices from
-    ``SUBSET_FLOOR`` on find only their eigenpairs above tau^2 and are rebuilt from them one
-    by one.  Otherwise the slices are rebuilt together up to the largest rank kept in any of
-    them; the shrunk singular values past a slice's own rank are zero, so this
-    equals truncating each slice separately.  All of it goes by blocks of
-    slices, in one chunk per core above the parallel layer's work floor.  Once factored, a
-    block of a larger stack keeps only the singular vectors that some slice of it keeps, and
-    the batched routes pad them back to full width only for their own rebuild, so no
-    temporary is as large as the stack; no bit depends on any of that.
+    side, with an error of about eps * (sigma_1 / tau)^2 * tau (``_gram_vectors``); otherwise,
+    or when that factorization fails, through the SVD.  All of it goes by blocks of slices, in
+    one chunk per core above the parallel layer's work floor.  Once factored, a block keeps of
+    each slice only the vectors that the slice keeps, at its own width, so no temporary is as
+    large as the stack; in one rebuild, each run of consecutive slices that keep the same count
+    is shrunk in place in one batched product.  So a slice's bits depend only on that slice: not
+    on the other slices, the blocks or the workers.  Nothing is written over the stack until
+    every block is factored, so a failed Gram factorization leaves it to the SVD route.
     Everything after the zero check runs with OpenBLAS on one thread.  Y is freed once its
     half spectrum exists, if the caller holds no other reference, so a caller that hands
     over its only one has that memory back before the factorization.  A spectrum that is not
@@ -72,78 +73,87 @@ def tsvt(Y: np.ndarray, tau: float) -> np.ndarray:
     Y = as_tensor(Y)
     shape, stack = Y.shape, _half_spectrum(Y)
     del Y
-    pieces = _chunks(stack)
+    pieces, wide = _chunks(stack), stack.shape[1] < stack.shape[2]
     # each block's largest slice norm; a NaN one fails both guards, which Python's max would
     # skip after the first block
     tops = _blockwise(lambda b: np.linalg.norm(stack[b], axis=(1, 2)).max(), pieces)
     if all(top <= tau for top in tops):  # every singular value shrinks to 0
         return np.zeros(shape)
     with _one_blas_thread():
+        kept = None
         if all(top <= GRAM_RATIO * tau for top in tops):
             try:
-                return _from_half_spectrum(_gram_svt(stack, tau, pieces), shape[2])
+                kept = _gram_vectors(stack, tau, pieces)
             except np.linalg.LinAlgError:
                 pass  # the eigenpairs were not found; the SVD, with its own retry, decides
-        h, n1, n2 = stack.shape
-        k = min(n1, n2)
+        if kept is None:
 
-        def keep(b, U, s, Vh):
-            s = np.maximum(s - tau, 0.0)
-            r = int(np.count_nonzero(s, axis=1).max())
-            return b.start, (r, _kept(U, np.s_[:, :, :r], h), s, _kept(Vh, np.s_[:, :r], h))
+            def keep(b, U, s, Vh):
+                w = np.maximum(s - tau, 0.0)
+                return b.start, [(rows, w[rows, :c], U[rows, :, :c].copy(), Vh[rows, :c].copy())
+                                 for rows, c in _runs(np.count_nonzero(w, axis=1))]
 
-        kept = dict(_svd(stack, keep=keep))
-        r = max(r for r, *_ in kept.values())
+            kept = dict(_svd(stack, keep=keep))
 
-        def rebuild(b):  # the factors replace the stack, so the stack takes the result
-            _, U, s, Vh = kept.pop(b.start)
-            U = _widened(U, (len(s), n1, k), np.s_[:, :, :U.shape[2]])
-            Vh = _widened(Vh, (len(s), k, n2), np.s_[:, :Vh.shape[1]])
-            np.matmul(U[:, :, :r] * s[:, None, :r], Vh[:, :r], out=stack[b])
+        def rebuild(b):  # the kept vectors replace the stack, so the stack takes the result
+            for rows, w, U, Vh in kept.pop(b.start):
+                M = stack[b][rows]
+                if U is None and wide:  # Gram: M = U S W^H with U = Vh^H, shrunk U diag(w) U^H M
+                    A, B = Vh.conj().swapaxes(1, 2), w[:, :, None] * (Vh @ M)
+                else:  # U diag(w) Vh, where the Gram route's M = U S W^H has W = Vh^H: U S = M W
+                    A, B = (M @ Vh.conj().swapaxes(1, 2) if U is None else U) * w[:, None, :], Vh
+                np.matmul(A, B, out=M)
 
         _blockwise(rebuild, pieces)
         return _from_half_spectrum(stack, shape[2])
 
 
-def _gram_svt(stack: np.ndarray, tau: float, pieces: list) -> np.ndarray:
-    """SVT of every slice from the eigenpairs of the Gram matrices M^H M, written over the stack.
+def _gram_vectors(stack: np.ndarray, tau: float, pieces: list) -> dict:
+    """Of each block of slices, by its first index, the eigenvectors of the Gram matrices M^H M
+    with eigenvalues above tau^2, for ``tsvt``'s rebuild: (rows, w, None, Vh) for each run of the
+    block's slices that keep the same count c (``_runs``), the rows of Vh the conjugates of their
+    c kept eigenvectors and w = 1 - tau / s their weights.
 
-    M is the slice, or its conjugate transpose for a wide slice, so the Gram
-    matrix is on the smaller side.  With M = U S V^H, the shrunk slice
-    U (S - tau)_+ V^H equals (M V) diag((1 - tau/s)_+) V^H.  A complex stack of slices at
-    least ``SUBSET_FLOOR`` wide goes to ``_subset_svt``, which finds only the kept eigenpairs.
-    Otherwise each block's Gram matrices go to one batched eigh, the block keeps only the
-    columns of V that a slice of it keeps (``_kept``), and is rebuilt from them, a wide block
-    conjugate-transposed back into the stack.  Either way nothing is written over the stack
-    until every block is factored, so a failed factorization leaves it to the SVD route.
+    M is the slice, or its conjugate transpose for a wide slice, so the Gram matrix is on the
+    smaller side.  With M = U S V^H, the shrunk slice U (S - tau)_+ V^H equals
+    (M V) diag((1 - tau/s)_+) V^H.  A complex stack of slices at least ``SUBSET_FLOOR`` wide
+    goes to the subset kernel, ``_eigh_above``, which finds only the kept eigenpairs; other
+    stacks to one batched eigh per block, of which the block keeps only the kept columns.
     """
-    h, wide, p = stack.shape[0], stack.shape[1] < stack.shape[2], min(stack.shape[1:])
+    wide, p = stack.shape[1] < stack.shape[2], min(stack.shape[1:])
     blas = _openblas()
-    if stack.dtype == np.complex128 and p >= SUBSET_FLOOR and blas and blas[2]:
-        return _subset_svt(stack, tau, pieces, blas[2])
+    lapack = blas[2] if blas and stack.dtype == np.complex128 and p >= SUBSET_FLOOR else None
+
+    def weights(lam):
+        return 1.0 - tau / np.maximum(np.sqrt(np.maximum(lam, 0.0)), tau)
 
     def factor(b):
-        lam, V = np.linalg.eigh(_gram(stack[b], wide))
-        s = np.sqrt(np.maximum(lam, 0.0))
+        if lapack:
+            pairs = _eigh_above(_gram(stack[b], wide), tau * tau, lapack)
+            counts = np.array([len(lam) for lam, _ in pairs])
+            return b.start, [(rows, weights(np.array([lam for lam, _ in pairs[rows]])), None,
+                              np.array([Z for _, Z in pairs[rows]]))
+                             for rows, _ in _runs(counts)]
+        lam, V = np.linalg.eigh(_gram(stack[b], wide))  # the Gram matrices go once factored
         # eigenvalues ascend, so the kept ones are the last columns of V
-        first = p - int(np.count_nonzero(s > tau, axis=1).max())
-        return b.start, (first, s, _kept(V, np.s_[:, :, first:], h))
+        counts = np.count_nonzero(np.sqrt(np.maximum(lam, 0.0)) > tau, axis=1)
+        return b.start, [(rows, weights(lam[rows, p - c:]), None,
+                          np.conjugate(V[rows, :, p - c:]).swapaxes(1, 2))
+                         for rows, c in _runs(counts)]
 
-    kept = dict(_blockwise(factor, pieces))
-    first = min(first for first, _, _ in kept.values())
+    return dict(_blockwise(factor, pieces))
 
-    def rebuild(b):
-        _, s, V = kept.pop(b.start)
-        V = _widened(V, (len(s), p, p), np.s_[:, :, p - V.shape[2]:])[:, :, first:]
-        w = 1.0 - tau / np.maximum(s[:, first:], tau)
-        M = stack[b].conj().swapaxes(1, 2) if wide else stack[b]
-        MVw, Vh = (M @ V) * w[:, None, :], V.conj().swapaxes(1, 2)
-        out = np.matmul(MVw, Vh, out=None if wide else stack[b])
-        if wide:
-            np.conjugate(out.swapaxes(1, 2), out=stack[b])
 
-    _blockwise(rebuild, pieces)
-    return stack
+def _runs(counts: np.ndarray) -> list:
+    """(rows, c) for each run of consecutive slices of a block that keep the same count c,
+    ``counts`` the kept counts of its slices and rows a slice of the block.  The rebuild shrinks
+    each run in place, in one batched product.  Grouping all the slices of a count instead made
+    fewer products where the counts alternate (one ``tsvt`` of a random 8x8x2000 tensor took
+    12.7-14.6 ms against 16.1-19.4 by runs), but copied a group's slices for its products and
+    wrote them back, which raised ``recovery_100``'s peak RSS from 92.0-92.2 to 93.4-97.8 MiB;
+    by runs it read 91.7-91.9 (2-vCPU Xeon)."""
+    edges = [0, *(np.flatnonzero(np.diff(counts)) + 1), len(counts)]
+    return [(slice(a, b), int(counts[a])) for a, b in zip(edges, edges[1:])]
 
 
 def _gram(S: np.ndarray, wide: bool) -> np.ndarray:
@@ -170,29 +180,6 @@ def _gram(S: np.ndarray, wide: bool) -> np.ndarray:
 # 0.82 at n = 28, 0.88-0.91 at n = 32 and 0.91-1.00 at 40x40x20.
 SUBSET_FLOOR = 32
 SUBSET_SHARE = 0.2
-
-
-def _subset_svt(stack: np.ndarray, tau: float, pieces: list, lapack: tuple) -> np.ndarray:
-    """``_gram_svt`` by the subset kernel: each slice keeps only the eigenpairs of its Gram matrix
-    above tau^2 (``_eigh_above``) and is rebuilt from them on its own, so no bit depends on the
-    blocks."""
-    wide = stack.shape[1] < stack.shape[2]
-
-    def factor(b):
-        return b.start, _eigh_above(_gram(stack[b], wide), tau * tau, lapack)
-
-    kept = dict(_blockwise(factor, pieces))
-
-    def rebuild(b):
-        for M, (lam, Vh) in zip(stack[b], kept.pop(b.start)):
-            w = 1.0 - tau / np.maximum(np.sqrt(np.maximum(lam, 0.0)), tau)
-            if wide:  # M = U S W^H with U = Vh^H, so the shrunk slice is U diag(w) U^H M
-                np.matmul(Vh.conj().T, w[:, None] * (Vh @ M), out=M)
-            else:  # M = U S W^H with W = Vh^H, so the shrunk slice is M W diag(w) W^H
-                np.matmul((M @ Vh.conj().T) * w, Vh, out=M)
-
-    _blockwise(rebuild, pieces)
-    return stack
 
 
 def _eigh_above(G: np.ndarray, low: float, lapack: tuple) -> list:
@@ -264,26 +251,6 @@ def _eigh_above(G: np.ndarray, low: float, lapack: tuple) -> list:
         checked("zunmtr")
         pairs.append((lam, Z))
     return pairs
-
-
-def _kept(F: np.ndarray, index: tuple, h: int) -> np.ndarray:
-    """The columns ``F[index]`` of a block's factor that some slice of the block keeps, copied so
-    that the rest of F is freed; F itself when the block is the whole stack of h slices, so that
-    a stack of one block is rebuilt from its factors as the factorization returned them."""
-    return F if len(F) == h else F[index].copy()
-
-
-def _widened(F: np.ndarray, shape: tuple, index: tuple) -> np.ndarray:
-    """A factor that ``_kept`` narrowed, written at ``index`` of zeros of its full ``shape``; F
-    itself when it has that shape.  The rebuild's products then see the shapes and strides of
-    the full factors, and the zero columns have weight 0, so no bit moves.  Zeros only as wide
-    as the widest kept block give the products other strides; that was seen to move bits of
-    ``tsvt`` in the last place in a few random cases, though not in every run of such a check."""
-    if F.shape == shape:
-        return F
-    full = np.zeros(shape, F.dtype)
-    full[index] = F
-    return full
 
 
 def soft_threshold(Y: np.ndarray, tau: float) -> np.ndarray:

@@ -18,7 +18,7 @@ conjugate, so the stack is float64 and every consumer runs real LAPACK and
 BLAS kernels; at n3 = 1, where the DFT is the identity, neither transform runs.
 The t-product, the t-SVD and ``prox.tsvt`` go through them (``tsvt`` uses
 ``_svd`` only where its Gram route would lose accuracy, and keeps of each
-block's factors only the singular vectors that it uses; its Gram route calls
+slice's factors only the singular vectors that the slice uses; its Gram route calls
 LAPACK routines of numpy's OpenBLAS that numpy does not wrap, which
 ``_openblas`` looks up on first use); ``_sweep`` reads one
 ``_svd`` call out as all the ranks, norms and rank-r factors that an
@@ -132,10 +132,11 @@ def _svd(stack: np.ndarray, compute_uv: bool = True, keep=None):
     is one plain call, whose own outputs are returned: copying them cost a 64x64 colour
     ``denoise --baseline`` 14,000 minor page faults (181 without) and 6% more time.  With
     ``keep``, the list of ``keep(b, U, s, Vh)`` over the blocks b, each taken as soon as its
-    block is factored, is returned instead, so a caller that uses only some singular vectors
-    (``prox.tsvt``) never holds them all.  LAPACK's divide-and-conquer SVD (gesdd) occasionally
-    fails to converge on a finite matrix that its conjugate transpose factors fine, so a failed
-    block is retried once on the conjugate transposes with the factors swapped back.
+    block is factored, is returned instead, so a caller that keeps of each slice only the
+    singular vectors it uses (``prox.tsvt``) never holds them all.  LAPACK's divide-and-conquer
+    SVD (gesdd) occasionally fails to converge on a finite matrix that its conjugate transpose
+    factors fine, so a failed block is retried once on the conjugate transposes with the factors
+    swapped back.
 
     Only finite blocks reach LAPACK and only finite singular values are returned: a spectrum
     with a NaN or an infinity (a finite tensor near the float64 limit overflows in the DFT),

@@ -178,65 +178,39 @@ def on_complex_route(fn, *args):
 
 
 def full_factor_tsvt(Y, tau):
-    """``prox.tsvt`` as it was while both routes held every singular vector of the stack: each
-    block's factors written into outputs as large as the stack (a stack of one block keeps its
-    own), and every block rebuilt from them up to the largest rank kept in any slice; where the
-    Gram route takes the subset kernel, its eigenpairs of the whole stack from one call.  The
-    reference that the routes keeping only the vectors they use must match bit for bit."""
+    """``prox.tsvt`` from one unblocked factorization of the whole half spectrum, each slice
+    rebuilt on its own from the kept columns of its own factors, in the products of the library's
+    rebuild: the reference that the blocked routes, which keep and rebuild each run of a block's
+    consecutive slices of the same kept count together, must match bit for bit."""
     shape, stack = Y.shape, ta._half_spectrum(Y)
-    pieces = ta._chunks(stack)
-    tops = ta._blockwise(lambda b: np.linalg.norm(stack[b], axis=(1, 2)).max(), pieces)
-    if all(top <= tau for top in tops):
+    wide, p = stack.shape[1] < stack.shape[2], min(stack.shape[1:])
+    tops = np.linalg.norm(stack, axis=(1, 2))
+    if (tops <= tau).all():
         return np.zeros(shape)
     with ta._one_blas_thread():
-        if all(top <= prox.GRAM_RATIO * tau for top in tops):
+        kept, blas = None, ta._openblas()
+        if (tops <= prox.GRAM_RATIO * tau).all():
+            H = stack.conj().swapaxes(1, 2)
+            G = stack @ H if wide else H @ stack
             try:
-                return ta._from_half_spectrum(_full_factor_gram_svt(stack, tau, pieces), shape[2])
+                if stack.dtype == np.complex128 and p >= prox.SUBSET_FLOOR and blas and blas[2]:
+                    pairs = prox._eigh_above(G, tau * tau, blas[2])
+                else:
+                    lam, V = np.linalg.eigh(G)
+                    counts = np.count_nonzero(np.sqrt(np.maximum(lam, 0.0)) > tau, axis=1)
+                    pairs = [(e[p - c:], v[:, p - c:].conj().T) for e, v, c in zip(lam, V, counts)]
+                kept = [(1.0 - tau / np.maximum(np.sqrt(np.maximum(lam, 0.0)), tau), None, Vh)
+                        for lam, Vh in pairs]
             except np.linalg.LinAlgError:
                 pass
-        U, s, Vh = ta._svd(stack)
-        s = np.maximum(s - tau, 0.0)
-        r = int(np.count_nonzero(s, axis=1).max())
-        ta._blockwise(lambda b: np.matmul(U[b, :, :r] * s[b, None, :r], Vh[b, :r], out=stack[b]),
-                      pieces)
+        if kept is None:
+            U, s, Vh = np.linalg.svd(stack, full_matrices=False)
+            w = np.maximum(s - tau, 0.0)
+            kept = [(w[k, :c], U[k, :, :c], Vh[k, :c])
+                    for k, c in enumerate(np.count_nonzero(w, axis=1))]
+        for M, (w, U, Vh) in zip(stack, kept):
+            if U is None and wide:
+                M[...] = Vh.conj().T @ (w[:, None] * (Vh @ M))
+            else:
+                M[...] = ((M @ Vh.conj().T if U is None else U) * w) @ Vh
         return ta._from_half_spectrum(stack, shape[2])
-
-
-def _full_factor_gram_svt(stack, tau, pieces):
-    wide, p = stack.shape[1] < stack.shape[2], min(stack.shape[1:])
-    blas = ta._openblas()
-    if stack.dtype == np.complex128 and p >= prox.SUBSET_FLOOR and blas and blas[2]:
-        H = stack.conj().swapaxes(1, 2)
-        pairs = prox._eigh_above(stack @ H if wide else H @ stack, tau * tau, blas[2])
-        for M, (lam, Vh) in zip(stack, pairs):  # each slice rebuilt from its own eigenpairs
-            w = 1.0 - tau / np.maximum(np.sqrt(np.maximum(lam, 0.0)), tau)
-            M[...] = Vh.conj().T @ (w[:, None] * (Vh @ M)) if wide else ((M @ Vh.conj().T) * w) @ Vh
-        return stack
-
-    def factor(b):
-        S, H = stack[b], stack[b].conj().swapaxes(1, 2)
-        return np.linalg.eigh(np.matmul(S, H) if wide else np.matmul(H, S))
-
-    if len(pieces) == 1 and len(pieces[0]) == 1:
-        lam, V = factor(pieces[0][0])
-    else:
-        lam = np.empty(stack.shape[:1] + (p,))
-        V = np.empty(stack.shape[:1] + (p, p), stack.dtype)
-
-        def write(b):
-            lam[b], V[b] = factor(b)
-
-        ta._blockwise(write, pieces)
-    s = np.sqrt(np.maximum(lam, 0.0))
-    first = p - int(np.count_nonzero(s > tau, axis=1).max())
-    w = 1.0 - tau / np.maximum(s[:, first:], tau)
-
-    def rebuild(b):
-        M, Vb = stack[b].conj().swapaxes(1, 2) if wide else stack[b], V[b, :, first:]
-        MVw, Vh = (M @ Vb) * w[b, None, :], Vb.conj().swapaxes(1, 2)
-        out = np.matmul(MVw, Vh, out=None if wide else stack[b])
-        if wide:
-            np.conjugate(out.swapaxes(1, 2), out=stack[b])
-
-    ta._blockwise(rebuild, pieces)
-    return stack
