@@ -117,16 +117,15 @@ def solve(X: np.ndarray, config: SolverConfig | None = None, callback=None) -> T
 
     Steps 2 and 3, the three residuals and the next step 1's argument run as one pass over
     cache-sized blocks of rows of the tensor (``_update``), in one row slab per core from the
-    parallel layer's ``t_algebra.SLAB_FLOOR`` on.  Without a callback, step 2 updates E in
-    place and the next step 1's argument is written over the retired L; with one, both go into
-    fresh arrays.  The loop hands that argument to ``tsvt`` and keeps no reference, so it is
-    freed once its half spectrum exists: while ``tsvt`` factors, the solve holds X, L, E and Y
-    beside the half spectrum and the factors.  Step 2's argument and Y/mu exist only a block at
-    a time.  Every expression keeps the association written above, so the result has the same
-    bits at any slab or block count.
+    parallel layer's ``t_algebra.SLAB_FLOOR`` on.  Step 2 updates E in place and the next step
+    1's argument is written over the retired L.  The loop hands that argument to ``tsvt`` and
+    keeps no reference, so it is freed once its half spectrum exists: while ``tsvt`` factors,
+    the solve holds X, L, E and Y beside the half spectrum and the factors.  Step 2's argument
+    and Y/mu exist only a block at a time.  Every expression keeps the association written
+    above, so the result has the same bits at any slab or block count.
 
-    ``callback(k, L, E)``, when given, is invoked after every iteration; no later iteration
-    writes to the arrays it receives.
+    ``callback(k, L, E)``, when given, is invoked after every iteration with copies of L and E,
+    so no later iteration writes to the arrays it receives.
     """
     X = as_tensor(X)
     if config is None:
@@ -150,19 +149,18 @@ def solve(X: np.ndarray, config: SolverConfig | None = None, callback=None) -> T
     k = 0
     for k in range(1, config.max_iter + 1):
         L_new = tsvt(P.pop(), 1.0 / mu)
-        E_new = E if callback is None else np.empty(X.shape)
-        P.append(L if callback is None else np.empty(X.shape))  # the retired L takes the next P
+        P.append(L)  # the retired L takes the next P
         mu_next = min(config.rho * mu, config.mu_max)
         parts = t_algebra._blockwise(
-            lambda b: _update(b, X, L, E, Y, L_new, E_new, P[0], mu, lam / mu, mu_next), slabs
+            lambda b: _update(b, X, L, E, Y, L_new, P[0], mu, lam / mu, mu_next), slabs
         )
         res = tuple(max(values) for values in zip(*parts))
         if not np.isfinite(parts).all():  # max would skip a NaN block maximum after the first
             raise np.linalg.LinAlgError(f"ADMM residuals are not finite at iteration {k}")
         history.append(res)
-        L, E = L_new, E_new
+        L = L_new
         if callback is not None:
-            callback(k, L, E)
+            callback(k, L.copy(), E.copy())
         mu = mu_next
         if max(res) <= config.eps:
             converged = True
@@ -178,24 +176,24 @@ def solve(X: np.ndarray, config: SolverConfig | None = None, callback=None) -> T
     )
 
 
-def _update(b, X, L, E, Y, L_new, E_new, P, mu, tau, mu_next) -> tuple:
-    """Steps 2 and 3 of ``solve`` on the block of rows ``b``, with tau = lam/mu: writes E_new,
-    which may be E, updates Y, then writes the next iteration's step-1 argument into P, which
-    may be L: the block's dL reads L before its P is written.  Returns the block's three
-    residual maxima."""
-    x, l_new, e_new, y = X[b], L_new[b], E_new[b], Y[b]
+def _update(b, X, L, E, Y, L_new, P, mu, tau, mu_next) -> tuple:
+    """Steps 2 and 3 of ``solve`` on the block of rows ``b``, with tau = lam/mu: updates E and Y
+    in place, then writes the next iteration's step-1 argument into P, the retired L: the
+    block's dE reads E before its new E is written, and its dL reads L before its P is.
+    Returns the block's three residual maxima."""
+    x, l_new, e, y = X[b], L_new[b], E[b], Y[b]
     B = np.subtract(x, l_new)
     t = np.divide(y, mu)
     B -= t  # X - L - Y/mu
-    _shrink(B, tau, t)  # E_new's block is written only once E's has been read
-    de = float(np.abs(np.subtract(t, E[b], out=B), out=B).max())
-    e_new[...] = t
-    gap = np.add(l_new, e_new, out=B)
+    _shrink(B, tau, t)  # the new E's block, written over E's once dE has read it
+    de = float(np.abs(np.subtract(t, e, out=B), out=B).max())
+    e[...] = t
+    gap = np.add(l_new, e, out=B)
     gap -= x
     dl = float(np.abs(np.subtract(l_new, L[b], out=t), out=t).max())
     y += np.multiply(mu, gap, out=t)
     dg = float(np.abs(gap, out=gap).max())
-    p = np.subtract(x, e_new, out=P[b])
+    p = np.subtract(x, e, out=P[b])
     p -= np.divide(y, mu_next, out=t)
     return dl, de, dg
 

@@ -127,16 +127,14 @@ def _from_half_spectrum(stack: np.ndarray, n3: int) -> np.ndarray:
 
 def _svd(stack: np.ndarray, compute_uv: bool = True, keep=None):
     """Thin SVD of every matrix in the stack, as (U, s, Vh), on one BLAS thread, in the blocks of
-    ``_chunks`` by ``_blockwise``; without ``compute_uv`` U and Vh are None.  The blocks write into
-    outputs allocated here, so no full-size output is made on a pool thread.  A stack of one block
-    is one plain call, whose own outputs are returned: copying them cost a 64x64 colour
-    ``denoise --baseline`` 14,000 minor page faults (181 without) and 6% more time.  With
-    ``keep``, the list of ``keep(b, U, s, Vh)`` over the blocks b, each taken as soon as its
-    block is factored, is returned instead, so a caller that keeps of each slice only the
-    singular vectors it uses (``prox.tsvt``) never holds them all.  LAPACK's divide-and-conquer
-    SVD (gesdd) occasionally fails to converge on a finite matrix that its conjugate transpose
-    factors fine, so a failed block is retried once on the conjugate transposes with the factors
-    swapped back.
+    ``_chunks`` by ``_blockwise``; without ``compute_uv`` U and Vh are None.  Every block, the one
+    block of a small stack too, writes into outputs allocated here once, so no full-size output is
+    made on a pool thread.  With ``keep``, the list of ``keep(b, U, s, Vh)`` over the blocks b,
+    each taken as soon as its block is factored, is returned instead, so a caller that keeps of
+    each slice only the singular vectors it uses (``prox.tsvt``) never holds them all.  LAPACK's
+    divide-and-conquer SVD (gesdd) occasionally fails to converge on a finite matrix that its
+    conjugate transpose factors fine, so a failed block is retried once on the conjugate
+    transposes with the factors swapped back.
 
     Only finite blocks reach LAPACK and only finite singular values are returned: a spectrum
     with a NaN or an infinity (a finite tensor near the float64 limit overflows in the DFT),
@@ -164,8 +162,6 @@ def _svd(stack: np.ndarray, compute_uv: bool = True, keep=None):
     with _one_blas_thread():
         if keep is not None:
             return _blockwise(lambda b: keep(b, *factor(b)), pieces)
-        if len(pieces) == 1 and len(pieces[0]) == 1:
-            return factor(pieces[0][0])
         U = np.empty((h, n1, k), stack.dtype) if compute_uv else None
         s = np.empty((h, k))
         Vh = np.empty((h, k, n2), stack.dtype) if compute_uv else None

@@ -16,7 +16,7 @@ from trpca.prox import soft_threshold, tsvt
 
 from random_tensors import (
     full_factor_tsvt, identity_tensor, nan_spectrum_tensor, on_complex_route, random_tensor,
-    traced_peak
+    traced_peak, ttranspose
 )
 
 
@@ -634,6 +634,52 @@ class TestKeptVectors:
         ]
         for k, own in enumerate(alone):
             assert np.array_equal(beside[k], own[0])
+
+
+class TestSymmetries:
+    """``tsvt`` commutes with three maps of a tensor that leave its objective unchanged: the
+    tensor transpose, which turns tall slices into wide ones, a circular shift along mode 3,
+    which puts a phase on each spectral slice, and the mode-3 reversal k -> -k mod n3, which
+    conjugates the spectrum.  Each map keeps every slice norm, so the tensor and its image take
+    the same route, and each route, on tall and wide shapes, is checked against itself."""
+
+    # largest difference relative to the largest entry of the result: 4.1e-15 over these
+    # shapes and levels of tau, five random tensors each
+    BOUND = 1e-12
+    MAPS = {
+        "transpose": ttranspose,
+        "roll": lambda A: np.roll(A, 1, axis=2),
+        "reverse": lambda A: A[:, :, -np.arange(A.shape[2]) % A.shape[2]],
+    }
+
+    @pytest.mark.parametrize("shape, gram", [
+        ((40, 34, 5), "kernel"), ((34, 40, 6), "kernel"),  # complex slices from SUBSET_FLOOR on
+        ((12, 9, 2), "eigh"), ((9, 12, 2), "eigh"),  # a real half spectrum
+        ((12, 9, 6), "eigh"), ((9, 12, 7), "eigh"),  # complex slices below SUBSET_FLOOR
+    ])
+    @pytest.mark.parametrize("level", ["gram", "svd", "zero"])
+    @pytest.mark.parametrize("name", list(MAPS))
+    def test_commutes(self, rng, monkeypatch, shape, gram, level, name):
+        blas = ta._openblas()
+        if gram == "kernel" and not (blas and blas[2]):
+            pytest.skip("numpy's bundled OpenBLAS lacks the subset kernel's routines")
+        calls = []
+        for owner, attr, route in [
+            (np.linalg, "svd", "svd"), (np.linalg, "eigh", "eigh"), (prox, "_eigh_above", "kernel")
+        ]:
+            def counting(*args, _f=getattr(owner, attr), _route=route, **kwargs):
+                calls.append(_route)
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counting)
+        Y, f = random_tensor(rng, *shape), self.MAPS[name]
+        top = np.linalg.norm(ta._half_spectrum(Y), axis=(1, 2)).max()
+        # tau at a tenth of the largest slice norm takes the Gram route, below a hundredth the
+        # SVD, and at least the norm the zero shortcut
+        tau = top * {"gram": 0.1, "svd": 1e-3, "zero": 2.0}[level]
+        out, mapped = tsvt(Y, tau), tsvt(f(Y), tau)
+        assert calls == {"gram": [gram] * 2, "svd": ["svd"] * 2, "zero": []}[level]
+        assert np.abs(mapped - f(out)).max() <= self.BOUND * np.abs(out).max()
 
 
 def eigh_route(Y, tau):

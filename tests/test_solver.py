@@ -171,6 +171,22 @@ class TestSolve:
         assert res.converged
         assert tc.norm_fro(res.L - 1e6 * L0) <= 1e-8 * tc.norm_fro(1e6 * L0)
 
+    # the absolute eps stops a solve of small data early (ROADMAP item 2): times 1e-9 after 1
+    # iteration at relative error 0.95 of L, times 1e-6 after 8 at 1.0e-2
+    SMALL_DATA = "ROADMAP item 2: the absolute eps stops small data early, converged=True"
+
+    @pytest.mark.parametrize("c", [
+        pytest.param(1e-9, marks=pytest.mark.xfail(strict=True, reason=SMALL_DATA)),
+        pytest.param(1e-6, marks=pytest.mark.xfail(strict=True, reason=SMALL_DATA)),
+        1e6,
+    ])
+    def test_scaled_input_scales_the_solution(self, c):
+        # the minimizer scales with the input; 1e6 reads 7.5e-9
+        spec = TrialSpec(tc.TensorDims(20, 20, 6), 2, "uniform_m", 100, seed=0)
+        X = np.add(*make_instance(spec))
+        expected = c * solve(X).L
+        assert tc.norm_fro(solve(c * X).L - expected) <= 1e-6 * tc.norm_fro(expected)
+
     def test_zero_input_starts_at_mu_max(self):
         # the spectral norm of 0 is 0, so 1.25 / ||X||_2 is not defined
         assert solve(np.zeros((4, 4, 3)), SolverConfig(mu_max=1e6)).mu0 == 1e6
@@ -250,7 +266,9 @@ class TestSlabs:
         assert len(seen) == res.iterations > 1
         for L, E, L_then, E_then in seen:
             assert np.array_equal(L, L_then) and np.array_equal(E, E_then)
-        assert res.L is seen[-1][0] and res.E is seen[-1][1]
+        # the last call saw the result's values, in copies rather than the solver's own arrays
+        assert np.array_equal(res.L, seen[-1][0]) and np.array_equal(res.E, seen[-1][1])
+        assert res.L is not seen[-1][0] and res.E is not seen[-1][1]
 
     @pytest.mark.parametrize("shape", [(50, 40, 30), (12, 10, 3)], ids=["slabs", "one_slab"])
     @pytest.mark.parametrize("workers", [0, 1])

@@ -406,6 +406,14 @@ class TestSpectralLayer:
         svd, calls = np.linalg.svd, []
         with ta._one_blas_thread():  # one batched call each
             whole, whole_s = svd(stack, full_matrices=False), svd(stack, compute_uv=False)
+        # a stack of one block writes into outputs allocated once, with one plain call's bits
+        small = stack[:, : n1 // 10, : n2 // 10].copy()
+        assert ta._chunks(small) == [[slice(0, len(small))]]
+        with ta._one_blas_thread():
+            plain, plain_s = svd(small, full_matrices=False), svd(small, compute_uv=False)
+        for x, y in zip(ta._svd(small), plain):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        assert np.array_equal(ta._svd(small, compute_uv=False)[1], plain_s)
 
         def counting_svd(a, *args, **kwargs):
             calls.append(a.shape[0])
