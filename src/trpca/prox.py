@@ -165,7 +165,7 @@ def _gram(S: np.ndarray, wide: bool) -> np.ndarray:
 
 # The subset kernel of the Gram route (``_eigh_above``).  zhetrd reduces a complex p x p Gram
 # matrix to a real tridiagonal T, a query of zstemr counts T's eigenvalues above tau^2 by a Sturm
-# sequence, and zunmtr maps only the kept eigenvectors of T back.  Up to SUBSET_SHARE * p of them,
+# sequence, and zunm2l maps only the kept eigenvectors of T back.  Up to SUBSET_SHARE * p of them,
 # zstemr finds just those by MRRR (Dhillon & Parlett, LAA 2004); above it, zstedc finds all of T's
 # by divide and conquer, as eigh (zheevd) does after the same zhetrd.  The whole kernel per slice
 # on one thread, by MRRR / by divide and conquer, as a share of eigh's time, keeping 5, 10, 20, 30
@@ -178,6 +178,15 @@ def _gram(S: np.ndarray, wide: bool) -> np.ndarray:
 # n x n x n3 Table-1 style instance, the kernel's time over eigh's (medians of 8-12 solves a mode,
 # alternating in one process) read 1.21 at 12x12x4, 1.03 and 1.53 at n = 16, 0.70-1.04 at n = 24,
 # 0.82 at n = 28, 0.88-0.91 at n = 32 and 0.91-1.00 at 40x40x20.
+#
+# zunm2l applies zhetrd's p - 1 reflectors to the c kept vectors one at a time, in a WORK of c
+# complex entries.  zunmtr, which calls it through zunmql, gathers them into block reflectors at
+# p = 100 and 200 (at p = 40 and 64 it calls zunm2l).  Per slice on one thread, zunm2l / zunmtr
+# in us, keeping 5, 10, 20 and 100% of p (medians of 201, alternating; 2-vCPU Xeon, OpenBLAS
+# 0.3.31): p = 40 and 64 the same bits and time; p = 100 49/170, 67/183, 111/203, 536/438;
+# p = 200 180/477, 379/542, 751/720, 3723/2254; results within 3.1e-16.  The blocked form wins
+# only when most of a wide slice is kept, on the divide-and-conquer branch: a 100^3 Table-1
+# solve keeps at most 10 of 100, a 200x200x20 one at most 42 of 200, in 2.8% of its slices.
 SUBSET_FLOOR = 32
 SUBSET_SHARE = 0.2
 
@@ -185,30 +194,33 @@ SUBSET_SHARE = 0.2
 def _eigh_above(G: np.ndarray, low: float, lapack: tuple) -> list:
     """For each Hermitian matrix of the C-ordered (k, p, p) stack G, which it overwrites: its m
     eigenvalues above ``low``, ascending, and an (m, p) array whose rows are the conjugates of
-    their eigenvectors.  ``lapack`` holds zhetrd, zstemr, zstedc and zunmtr
+    their eigenvectors.  ``lapack`` holds zhetrd, zstemr, zstedc and zunm2l
     (``t_algebra._tridiagonal_routines``); a nonzero INFO raises ``np.linalg.LinAlgError``.
 
     LAPACK reads a C-ordered matrix as its transpose, here the conjugate of G, whose eigenvectors
-    are the conjugates of G's; so the m columns that zunmtr writes, read in C order, are the rows
-    wanted.  Its 'U' triangle is the lower triangle of G, the one that eigh reads.  zhetrd's and
-    zunmtr's optimal workspace is p times a block size of 32; zstemr's is 18 p reals and 10 p
-    integers, and zstedc's 1 + 4 p + 2 p^2 reals and 3 + 5 p integers."""
+    are the conjugates of G's; so the m columns that zunm2l writes, read in C order, are the rows
+    wanted.  Its 'U' triangle is the lower triangle of G, the one that eigh reads; zhetrd stores
+    its reflectors above the diagonal of that triangle, from A(1, 2) on, and leaves the last
+    coordinate alone, so zunm2l runs on the first p - 1 rows of the vectors, as zunmtr('L', 'U',
+    'N') would.  zhetrd's optimal workspace is p times a block size of 32 complex entries and
+    zunm2l's WORK c complex entries for c kept vectors; zstemr's is 18 p reals and 10 p integers,
+    and zstedc's 1 + 4 p + 2 p^2 reals and 3 + 5 p integers."""
     if G.dtype != np.complex128 or not G.flags.c_contiguous or G.shape[1] != G.shape[2]:
         raise ValueError(f"expected a C-ordered complex stack of square matrices, got {G.shape}")
-    hetrd, stemr, stedc, unmtr = lapack
+    hetrd, stemr, stedc, unm2l = lapack
     p = G.shape[1]
     lrwork = max(18 * p, 1 + 4 * p + 2 * p * p)
     # LAPACK gets addresses in these three arrays.  ints: N, LWORK, INFO, M, IL, IU, NZC, TRYRAC
-    # (false: absolute accuracy), LRWORK, LIWORK, IWORK (10 p) and ISUPPZ (2 p).  reals: VL and VU
-    # of the count, the eigenvalues W (p), D (p), E (p) and RWORK.  cplx: the count that the
-    # query returns, TAU of the reflectors (p) and WORK (64 p).
-    ints = np.zeros(10 + 12 * p, np.int64)
-    ints[:10] = p, 64 * p, 0, 0, 0, p, 0, 0, lrwork, 10 * p
+    # (false: absolute accuracy), LRWORK, LIWORK, N - 1, IWORK (10 p) and ISUPPZ (2 p).  reals:
+    # VL and VU of the count, the eigenvalues W (p), D (p), E (p) and RWORK.  cplx: the count
+    # that the query returns, TAU of the reflectors (p) and WORK (64 p).
+    ints = np.zeros(11 + 12 * p, np.int64)
+    ints[:11] = p, 64 * p, 0, 0, 0, p, 0, 0, lrwork, 10 * p, p - 1
     reals = np.empty(2 + 3 * p + lrwork)
     reals[:2] = low, np.finfo(np.float64).max
     cplx = np.empty(1 + 65 * p, complex)
-    n, lwork, info, m, il, iu, nzc, tryrac, lr, li, I = (
-        ints.ctypes.data + 8 * k for k in range(11)
+    n, lwork, info, m, il, iu, nzc, tryrac, lr, li, n_1, I = (
+        ints.ctypes.data + 8 * k for k in range(12)
     )
     S = I + 8 * 10 * p
     vl, vu, W, D, E, R = (reals.ctypes.data + 8 * k for k in (0, 1, 2, 2 + p, 2 + 2 * p, 2 + 3 * p))
@@ -247,8 +259,8 @@ def _eigh_above(G: np.ndarray, low: float, lapack: tuple) -> list:
             checked("zstedc")
             Z, lam = Z[p - count :].copy(), reals[2 + 2 * p - count : 2 + 2 * p].copy()
             ints[3] = count
-        unmtr(b"L", b"U", b"N", n, m, a, n, T, Z.ctypes.data, n, WORK, lwork, info, 1, 1, 1)
-        checked("zunmtr")
+        unm2l(b"L", b"N", n_1, m, n_1, a + 16 * p, n, T, Z.ctypes.data, n, WORK, info, 1, 1)
+        checked("zunm2l")
         pairs.append((lam, Z))
     return pairs
 

@@ -693,7 +693,7 @@ class LapackSpy:
     """Wraps the subset kernel's LAPACK routines: ``calls`` lists their names in call order, and
     a routine named in ``fail`` has its INFO set to that value once it returns."""
 
-    INFO = {"zhetrd": 9, "zstemr": 20, "zstedc": 12, "zunmtr": 12}  # INFO's argument index
+    INFO = {"zhetrd": 9, "zstemr": 20, "zstedc": 12, "zunm2l": 11}  # INFO's argument index
 
     def __init__(self, monkeypatch):
         get, set_, routines = ta._openblas()
@@ -716,7 +716,7 @@ class LapackSpy:
 def lapack(monkeypatch, blas_threads):
     """A ``LapackSpy``, skipping the test without the subset kernel's routines."""
     if not ta._openblas()[2]:
-        pytest.skip("numpy's bundled OpenBLAS lacks zhetrd, zstemr, zstedc or zunmtr")
+        pytest.skip("numpy's bundled OpenBLAS lacks zhetrd, zstemr, zstedc or zunm2l")
     return LapackSpy(monkeypatch)
 
 
@@ -777,7 +777,7 @@ class TestSubsetKernel:
         monkeypatch.setattr(prox, "_from_half_spectrum", spy)
         out = tsvt(Y, 1.0)
         counted = ["zhetrd", "zstemr"]
-        found = ["zstemr", "zunmtr"] if widths[0] else []
+        found = ["zstemr", "zunm2l"] if widths[0] else []
         assert lapack.calls == counted + found + counted * 2
         (stack,) = stacks
         assert np.linalg.matrix_rank(stack[0]) == widths[0] and not stack[1:].any()
@@ -791,7 +791,7 @@ class TestSubsetKernel:
         Y = kept_widths(rng, (50, 50, 3), [10, 11])
         out = tsvt(Y, 1.0)
         assert lapack.calls == [
-            "zhetrd", "zstemr", "zstemr", "zunmtr", "zhetrd", "zstemr", "zstedc", "zunmtr"
+            "zhetrd", "zstemr", "zstemr", "zunm2l", "zhetrd", "zstemr", "zstedc", "zunm2l"
         ]
         assert np.abs(out - eigh_route(Y, 1.0)).max() <= self.BOUND
 
@@ -835,6 +835,28 @@ class TestSubsetKernel:
             with pytest.raises(ValueError, match="C-ordered"):
                 prox._eigh_above(bad, 1.0, ta._openblas()[2])
         assert lapack.calls == []
+
+    @pytest.mark.parametrize("count", [1, 10, 20, 60, 100])
+    def test_kept_pairs_match_eigh(self, rng, lapack, count):
+        # p = 100: up to SUBSET_SHARE * p = 20 kept by MRRR, above it by divide and conquer; the
+        # kept eigenvalues 2-100 are about 1 or more apart, so each kept vector is defined to
+        # about eps * 100, and the others lie below the threshold 1.  Over 20 random matrices a
+        # count the three errors read at most 1.1e-15, 4.9e-14 and 3.1e-15
+        p = 100
+        lam = np.r_[rng.uniform(0.1, 0.9, p - count), np.linspace(2.0, 100.0, count)]
+        Q = np.linalg.qr(rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)))[0]
+        G = (Q * lam) @ Q.conj().T
+        G = (G + G.conj().T) / 2
+        w, V = np.linalg.eigh(G)
+        ((found, Z),) = prox._eigh_above(G[None].copy(), 1.0, ta._openblas()[2])
+        assert ("zstedc" in lapack.calls) == (count > prox.SUBSET_SHARE * p)
+        assert Z.shape == (count, p)
+        assert np.abs(found - w[p - count :]).max() <= 1e-13 * w[-1]
+        # rows are the conjugates of the eigenvectors, each up to a phase
+        for z, v in zip(Z.conj(), V[:, p - count :].T):
+            phase = np.vdot(v, z) / abs(np.vdot(v, z))
+            assert np.abs(z - phase * v).max() <= 1e-12
+        assert np.abs(Z @ Z.conj().T - np.eye(count)).max() <= 1e-12
 
     @pytest.mark.parametrize("shape", [(80, 50, 8), (50, 80, 8)], ids=["tall", "wide"])
     def test_blocks_and_workers_change_no_bit(self, rng, monkeypatch, lapack, shape):
@@ -993,7 +1015,7 @@ class TestTracedMemory:
 
 
 class TestWorkSharingMap:
-    """``t_algebra._blockwise`` shares its pieces between the calling thread and the pool."""
+    """``t_algebra._blockwise`` shares its blocks between the calling thread and the pool."""
 
     @pytest.fixture
     def fresh_pool(self, monkeypatch):
@@ -1063,6 +1085,26 @@ class TestWorkSharingMap:
             ta._blockwise(call, [[k] for k in range(2)])
         assert finished == [0]
         assert blas_threads() == before and ta._pin_depth == 0
+
+    def test_blocks_are_shared_in_block_order(self, fresh_pool):
+        # two pieces of four blocks: piece 0's first block, on the calling thread, waits until
+        # the pool thread has run one of piece 0's later blocks, which it can only have taken
+        # from the queue that both threads share
+        fresh_pool(1)
+        caller, later, runs = threading.get_ident(), threading.Event(), []
+
+        def call(k):
+            runs.append((k, threading.get_ident()))
+            if k == 0:
+                assert later.wait(60)
+            elif k < 4 and threading.get_ident() != caller:
+                later.set()
+            return 10 * k
+
+        outs = ta._blockwise(call, [[0, 1, 2, 3], [4, 5, 6, 7]])
+        assert outs == [10 * k for k in range(8)]
+        assert sorted(k for k, _ in runs) == list(range(8))
+        assert any(k < 4 for k, thread in runs if thread != caller)
 
     def test_every_call_runs_once_on_an_oversized_pool(self, fresh_pool):
         fresh_pool(6)

@@ -273,7 +273,7 @@ class TestSlabs:
     @pytest.mark.parametrize("shape", [(50, 40, 30), (12, 10, 3)], ids=["slabs", "one_slab"])
     @pytest.mark.parametrize("workers", [0, 1])
     def test_callback_changes_no_bit(self, monkeypatch, shape, workers):
-        # without a callback E is updated in place; with one, each iteration gets fresh arrays
+        # the same buffers either way: a callback is handed copies of the iterates
         X = gen_low_rank(shape, 2, 5) + gen_sparse_uniform(shape, int(np.prod(shape)) // 20, 6)
         monkeypatch.setattr(ta, "_WORKERS", workers)
         if ta._openblas():
